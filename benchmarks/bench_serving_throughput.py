@@ -150,46 +150,6 @@ def test_serving_throughput(once):
     )
 
 
-def test_serving_margin_eval_fast_speedup(once):
-    """The served model's margin stage must hit the fast-mode gate too.
-
-    Same measurement as ``bench_scan_parallel.run_margin_eval_modes``
-    but on the serving bench's model (benchmark5): the registry warms
-    the fast states at load time, so this is the steady-state cost a
-    ``--compute fast`` server pays per batch.
-    """
-    from bench_scan_parallel import (
-        MARGIN_EVAL_MIN_SPEEDUP,
-        run_margin_eval_modes,
-    )
-    from conftest import get_benchmark, get_detector, print_table, record_metrics
-
-    bench = get_benchmark("benchmark5")
-    detector = get_detector("benchmark5", "ours")
-    row = once(run_margin_eval_modes, detector, bench.testing.layout)
-
-    print_table(
-        "Margin evaluation — exact per-row vs fast blocked GEMM (benchmark5)",
-        ["kernels", "rows", "exact_s", "fast_s", "speedup_x", "drift_ulps"],
-        [[row["kernels"], row["rows"], row["exact_s"], row["fast_s"],
-          row["speedup_x"], row["drift_ulps"]]],
-    )
-    record_metrics(
-        __file__,
-        margin_eval_rows=row["rows"],
-        margin_eval_exact_s=row["exact_s"],
-        margin_eval_fast_s=row["fast_s"],
-        margin_eval_speedup_x=row["speedup_x"],
-        margin_eval_drift_ulps=row["drift_ulps"],
-        margin_eval_drift_bound_ulps=row["drift_bound_ulps"],
-    )
-    assert row["speedup_x"] >= MARGIN_EVAL_MIN_SPEEDUP, (
-        f"fast margin evaluation only {row['speedup_x']}x faster than exact "
-        f"(gate: {MARGIN_EVAL_MIN_SPEEDUP}x over {row['rows']} rows)"
-    )
-    assert row["drift_ulps"] <= row["drift_bound_ulps"]
-
-
 if __name__ == "__main__":
     from repro.core.config import DetectorConfig
     from repro.core.detector import HotspotDetector

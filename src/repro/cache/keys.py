@@ -78,18 +78,9 @@ def clip_content_key(clip, canonical: bool = True) -> str:
 
 
 def feature_fingerprint(config) -> str:
-    """Hash of a feature-extraction configuration (cache version tag).
-
-    The ``compute`` mode is deliberately *excluded*: extraction is
-    integer geometry and the fast sweeps are bit-identical to the scalar
-    ones (pinned by ``tests/test_fast_compute.py``), so exact and fast
-    runs share one feature-blob namespace.  Margins do drift between
-    modes, so :func:`model_fingerprint` *includes* the mode — the two
-    fingerprints split exactly where the bits split.
-    """
+    """Hash of a feature-extraction configuration (cache version tag)."""
     if dataclasses.is_dataclass(config) and not isinstance(config, type):
         summary = dataclasses.asdict(config)
-        summary.pop("compute", None)
     else:
         summary = {"repr": repr(config)}
     blob = json.dumps(
@@ -106,12 +97,7 @@ def model_fingerprint(model) -> str:
     Covers the trained kernels (weights, support vectors, schemas,
     gates) and the extractor configuration — the same clip extracted
     under a different :class:`FeatureConfig` yields different vectors,
-    so the config is part of the margin identity.  The ``compute`` mode
-    is part of it too: fast margins drift from exact ones within the
-    documented ulp bound, so a warm exact-mode margin cache must never
-    be served to a fast-mode scan (or vice versa) — embedding the mode
-    here splits the margin namespace, the scan journals and the fleet
-    handshake per mode automatically.
+    so the config is part of the margin identity.
     """
     from repro.core.persist import encode_trained_kernel
 
@@ -120,11 +106,7 @@ def model_fingerprint(model) -> str:
         encode_trained_kernel(kernel, arrays, f"k{index}")
         for index, kernel in enumerate(model.kernels)
     ]
-    payload = {
-        "kernels": metas,
-        "features": feature_fingerprint(model.extractor.config),
-        "compute": getattr(model.extractor.config, "compute", "exact"),
-    }
+    payload = {"kernels": metas, "features": feature_fingerprint(model.extractor.config)}
     digest = sha256(json.dumps(payload, sort_keys=True, default=str).encode("utf-8"))
     for name in sorted(arrays):
         array = np.ascontiguousarray(arrays[name])

@@ -256,15 +256,6 @@ def _add_scan(subparsers) -> None:
         "journaled sharded scan",
     )
     group.add_argument(
-        "--compute",
-        choices=("exact", "fast"),
-        default=None,
-        help="margin compute mode (default: the model's config, normally "
-        "'exact'); 'fast' evaluates margins with blocked vectorized "
-        "kernels — same hotspot set, margins within the documented "
-        "ulp bound (docs/PERFORMANCE.md)",
-    )
-    group.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -414,14 +405,6 @@ def _add_serve(subparsers) -> None:
         help="disable the cross-request feature/margin cache",
     )
     parser.add_argument(
-        "--compute",
-        choices=("exact", "fast"),
-        default=None,
-        help="margin compute mode for every served model (default: each "
-        "archive's saved mode); 'fast' precompacts support vectors at "
-        "load time and evaluates with blocked vectorized kernels",
-    )
-    parser.add_argument(
         "--trace",
         action="store_true",
         help="record pipeline spans and expose per-stage histograms on /metrics",
@@ -480,14 +463,6 @@ def _add_fleet_scan(subparsers) -> None:
         default=None,
         metavar="PATH",
         help="write a JSON report of inputs quarantined during the scan",
-    )
-    parser.add_argument(
-        "--compute",
-        choices=("exact", "fast"),
-        default=None,
-        help="margin compute mode (default: the model's config); the "
-        "coordinator publishes it in the handshake, so every fleet "
-        "worker evaluates in the same mode",
     )
     fleet = parser.add_argument_group("fleet")
     fleet.add_argument(
@@ -641,13 +616,6 @@ def _add_fleet_coordinator(subparsers) -> None:
     )
     parser.add_argument(
         "--shard-side", type=int, default=None, metavar="DBU"
-    )
-    parser.add_argument(
-        "--compute",
-        choices=("exact", "fast"),
-        default=None,
-        help="margin compute mode (must match the primary when running "
-        "as a standby; default: the model's config)",
     )
     parser.add_argument(
         "--journal-dir",
@@ -977,8 +945,6 @@ def cmd_scan(args) -> int:
 
             detector.attach_cache(HotspotCache(directory=args.cache_dir))
         backend = args.backend or detector.config.backend
-        if args.compute is not None:
-            detector.set_compute(args.compute)
         if args.incremental:
             if args.no_journal:
                 print(
@@ -1062,7 +1028,6 @@ def cmd_scan(args) -> int:
             feedback_degraded=result.feedback_degraded,
             eval_seconds=round(result.eval_seconds, 4),
             backend=result.backend,
-            compute=result.compute,
         )
         if result.backend == "process":
             session.record(
@@ -1246,7 +1211,6 @@ def cmd_serve(args) -> int:
             default_timeout_s=args.request_timeout,
         ),
         cache=cache,
-        compute=args.compute,
     )
     if args.trace:
         # Spans bridge into the service registry, so /metrics exposes
@@ -1368,8 +1332,6 @@ def cmd_fleet_scan(args) -> int:
 
     with _ObsSession(args, "fleet-scan") as session:
         detector = load_detector(args.model)
-        if args.compute is not None:
-            detector.set_compute(args.compute)
         layout = load_layout_auto(args.layout)
         journal_dir = (
             None
@@ -1447,8 +1409,6 @@ def cmd_fleet_scan(args) -> int:
             ]
             if args.shard_side is not None:
                 command += ["--shard-side", str(args.shard_side)]
-            if args.compute is not None:
-                command += ["--compute", args.compute]
             if journal_dir is not None:
                 command += [
                     "--journal-dir",
@@ -1813,8 +1773,6 @@ def cmd_fleet_coordinator(args) -> int:
     if args.trace is not None:
         obs.set_tracer(obs.Tracer())
     detector = load_detector(args.model)
-    if args.compute is not None:
-        detector.set_compute(args.compute)
     layout = load_layout_auto(args.layout)
     options = FleetOptions(
         host=args.host,

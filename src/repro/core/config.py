@@ -129,16 +129,6 @@ class DetectorConfig:
         """This configuration with a different decision threshold."""
         return replace(self, decision_threshold=threshold)
 
-    @property
-    def compute(self) -> str:
-        """The margin/extraction compute mode ("exact" or "fast")."""
-        return self.features.compute
-
-    def with_compute(self, mode: str) -> "DetectorConfig":
-        """This configuration under another compute mode (validated by
-        :class:`~repro.features.vector.FeatureConfig`)."""
-        return replace(self, features=replace(self.features, compute=mode))
-
     @staticmethod
     def ours() -> "DetectorConfig":
         """The full framework at the accuracy-first operating point."""

@@ -81,8 +81,6 @@ class DetectionReport:
     shards_resumed: int = 0
     #: Shards reused from a previous run's journal (incremental scans).
     shards_reused: int = 0
-    #: Compute mode the margins were evaluated under ("exact"/"fast").
-    compute: str = "exact"
     #: Cache counter deltas for this call (``None`` when no cache attached).
     cache_stats: Optional[dict] = None
 
@@ -126,41 +124,6 @@ class HotspotDetector:
             self.model_.extractor.cache = self.cache_
         if self.feedback_ is not None:
             self.feedback_.extractor.cache = self.cache_
-
-    # ------------------------------------------------------------------
-    # compute mode
-    # ------------------------------------------------------------------
-    @property
-    def compute(self) -> str:
-        """The active margin/extraction compute mode."""
-        return self.config.features.compute
-
-    def set_compute(self, mode: str) -> "HotspotDetector":
-        """Switch between ``"exact"`` and ``"fast"`` margin evaluation.
-
-        Threads the mode through the config, the fitted model's
-        extractor and the feedback kernel's extractor, and drops the
-        memoized margin fingerprint — the margin-cache namespace embeds
-        the mode (:func:`repro.cache.keys.model_fingerprint`), so a
-        switched detector never reads the other mode's cached margins.
-        Validated by :class:`~repro.features.vector.FeatureConfig`;
-        idempotent; usable before or after ``fit``.
-        """
-        from dataclasses import replace as _replace
-
-        self.config = self.config.with_compute(mode)
-        if self.model_ is not None:
-            extractor = self.model_.extractor
-            extractor.config = _replace(extractor.config, compute=mode)
-            extractor._cache_ids = None
-            self.model_.__dict__.pop("_margin_fingerprint", None)
-        if self.feedback_ is not None:
-            feedback_extractor = self.feedback_.extractor
-            feedback_extractor.config = _replace(
-                feedback_extractor.config, compute=mode
-            )
-            feedback_extractor._cache_ids = None
-        return self
 
     def _cache_snapshot(self) -> Optional[dict]:
         if self.cache_ is None:
@@ -330,17 +293,6 @@ class HotspotDetector:
         bit-identical to a local one.
         """
         model = self._require_model()
-        wanted = getattr(work, "compute", None) if work is not None else None
-        if wanted and wanted != self.config.features.compute:
-            # Apply the per-scan mode override to the whole evaluation —
-            # margins, feedback filtering, cache routing — then restore
-            # the configured mode.
-            previous = self.config.features.compute
-            self.set_compute(wanted)
-            try:
-                return self.detect(layout, layer, threshold, quarantine, work, scan)
-            finally:
-                self.set_compute(previous)
         threshold = (
             self.config.decision_threshold if threshold is None else threshold
         )
@@ -352,10 +304,7 @@ class HotspotDetector:
             backend = "thread"
         started = time.perf_counter()
         cache_before = self._cache_snapshot()
-        compute = self.config.features.compute
-        with trace(
-            "detector.detect", layer=layer, threshold=threshold, compute=compute
-        ) as span:
+        with trace("detector.detect", layer=layer, threshold=threshold) as span:
             if backend in ("process", "fleet"):
                 if scan is None:
                     from repro.work.shard import ScanOptions, run_sharded_scan
@@ -453,7 +402,6 @@ class HotspotDetector:
             shards_total=scan.shards_total if scan else 0,
             shards_resumed=scan.shards_resumed if scan else 0,
             shards_reused=scan.shards_reused if scan else 0,
-            compute=compute,
             cache_stats=self._cache_delta(cache_before),
         )
 

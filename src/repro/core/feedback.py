@@ -43,17 +43,12 @@ class FeedbackKernel:
     extras_used: int = 0
     hotspots_used: int = 0
 
-    def _fast(self) -> bool:
-        return getattr(self.extractor.config, "compute", "exact") == "fast"
-
     def margins(self, clips: Sequence[Clip]) -> np.ndarray:
         if not clips:
             return np.zeros(0)
         matrix = np.vstack(
             [self.extractor.vectorize_clip(clip, self.schema) for clip in clips]
         )
-        if self._fast():
-            return self.model.decision_function_fast(matrix)
         return self.model.decision_function(matrix)
 
     def keep_mask(self, clips: Sequence[Clip], threshold: float = 0.0) -> np.ndarray:
@@ -70,12 +65,10 @@ class FeedbackKernel:
         matrix = np.vstack(
             [self.extractor.vectorize_clip(clip, self.schema) for clip in clips]
         )
-        if self._fast():
-            margins, similarity = self.model.decision_and_similarity_fast(matrix)
-        else:
-            margins = self.model.decision_function(matrix)
-            similarity = self.model.support_similarity(matrix)
-        unknown = similarity < max(self.model.far_field_floor, 0.05)
+        margins = self.model.decision_function(matrix)
+        unknown = self.model.support_similarity(matrix) < max(
+            self.model.far_field_floor, 0.05
+        )
         return (margins >= threshold) | unknown
 
 

@@ -116,11 +116,13 @@ def _encode_feature_config(config: FeatureConfig) -> dict:
         "include_density_grid": config.include_density_grid,
         "density_resolution": config.density_resolution,
         "canonical_orientation": config.canonical_orientation,
-        "compute": config.compute,
     }
 
 
 def _decode_feature_config(payload: dict) -> FeatureConfig:
+    # Older archives also record a ``compute`` mode ("exact" or "fast").
+    # Margins are now always evaluated row by row, so the key is ignored.
+    payload = {key: value for key, value in payload.items() if key != "compute"}
     return FeatureConfig(**payload)
 
 

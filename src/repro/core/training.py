@@ -193,11 +193,6 @@ class MultiKernelModel:
         extractions = {
             i: self.extractor.extract(clips[i]) for i in sorted(needed)
         }
-        fast_states = None
-        if getattr(self.extractor.config, "compute", "exact") == "fast":
-            from repro.svm.fastpath import fast_states as _fast_states
-
-            fast_states = _fast_states(self)
         for k, kernel in enumerate(self.kernels):
             wanted = accept[k]
             if not wanted:
@@ -208,10 +203,7 @@ class MultiKernelModel:
                     for i in wanted
                 ]
             )
-            if fast_states is not None:
-                margins[wanted, k] = fast_states[k].decision_function(matrix)
-            else:
-                margins[wanted, k] = kernel.model.decision_function(matrix)
+            margins[wanted, k] = kernel.model.decision_function(matrix)
         return margins
 
     def margins(self, clips: Sequence[Clip]) -> np.ndarray:

@@ -138,25 +138,12 @@ def min_spacing_from_tilings(
     return min(values) if values else default
 
 
-def extract_nontopo_features(
-    rects: Sequence[Rect], window: Rect, *, compute: str = "exact"
-) -> NonTopoFeatures:
-    """Compute all five nontopological features for a pattern window.
-
-    ``compute="fast"`` uses the vectorized quadrant probes and tiling
-    sweeps of :mod:`repro.mtcg.fastscan`; all five values are integer or
-    exactly-derived, so the two modes agree bit for bit.
-    """
-    fast = compute == "fast"
+def extract_nontopo_features(rects: Sequence[Rect], window: Rect) -> NonTopoFeatures:
+    """Compute all five nontopological features for a pattern window."""
     clipped = [r for r in (rect.intersection(window) for rect in rects) if r]
-    if fast:
-        from repro.mtcg.fastscan import corner_and_touch_counts as _fast_counts
-
-        corners, touches = _fast_counts(clipped, window)
-    else:
-        corners, touches = corner_and_touch_counts(clipped, window)
-    h_tiling = horizontal_tiling(clipped, window, fast=fast)
-    v_tiling = vertical_tiling(clipped, window, fast=fast)
+    corners, touches = corner_and_touch_counts(clipped, window)
+    h_tiling = horizontal_tiling(clipped, window)
+    v_tiling = vertical_tiling(clipped, window)
     default = max(window.width, window.height)
     return NonTopoFeatures(
         corner_count=corners,

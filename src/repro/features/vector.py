@@ -64,12 +64,6 @@ class FeatureConfig:
     include_density_grid: bool = False
     density_resolution: int = 12
     canonical_orientation: bool = True
-    #: ``"exact"`` (the oracle: per-row SVM margins, scalar sweeps) or
-    #: ``"fast"`` (blocked-GEMM margins + vectorized sweeps).  Feature
-    #: extraction is integer geometry and stays bit-identical between
-    #: modes; only the SVM margins drift, bounded by
-    #: :data:`repro.svm.fastpath.MAX_ULP_DRIFT` scale-ulps.
-    compute: str = "exact"
 
     def __post_init__(self) -> None:
         if self.region not in ("core", "clip", "context"):
@@ -80,10 +74,6 @@ class FeatureConfig:
             raise FeatureError("context_margin must be non-negative")
         if self.density_resolution <= 0:
             raise FeatureError("density_resolution must be positive")
-        if self.compute not in ("exact", "fast"):
-            raise FeatureError(
-                f"compute must be 'exact' or 'fast', got {self.compute!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -193,34 +183,19 @@ class FeatureExtractor:
         return self._extract_uncached(clip)
 
     def _extract_uncached(self, clip: Clip) -> ExtractedFeatures:
-        compute = self.config.compute
         rects, window = self._region_of(clip)
         if self.config.canonical_orientation and rects:
             _, rects = canonical_form(rects, window)
         rules = tuple(
             extract_topological_features(
-                rects,
-                window,
-                diagonal_max_gap=self.config.diagonal_max_gap,
-                compute=compute,
+                rects, window, diagonal_max_gap=self.config.diagonal_max_gap
             )
         )
-        nontopo = extract_nontopo_features(rects, window, compute=compute)
+        nontopo = extract_nontopo_features(rects, window)
         grid: Optional[np.ndarray] = None
         if self.config.include_density_grid:
             resolution = self.config.density_resolution
-            if compute == "fast":
-                # Same rect sets the Clip convenience methods render,
-                # through the vectorized (bit-identical) renderer.
-                from repro.geometry.grid import density_grid_fast as _grid
-
-                if self.config.region == "core":
-                    grid = _grid(clip.core_rects(), clip.core, resolution)
-                elif self.config.region == "context":
-                    grid = _grid(rects, window, resolution)
-                else:
-                    grid = _grid(clip.rects, clip.window, resolution)
-            elif self.config.region == "core":
+            if self.config.region == "core":
                 grid = clip.core_density_grid(resolution)
             elif self.config.region == "context":
                 from repro.geometry.grid import density_grid as _density_grid

@@ -738,7 +738,6 @@ class FleetCoordinator:
             "epoch": self.epoch,
             "role": self.role,
             "fingerprint": self.fingerprint,
-            "compute": self.detector.config.features.compute,
             "shard_side": self.shard_side,
             "layer": self.layer,
             "shards": len(self.shards),

@@ -256,13 +256,6 @@ class FleetWorker:
         raise TransientError("worker stopped while locating a leader")
 
     def _verify_fingerprint(self, config: dict) -> None:
-        # Adopt the coordinator's compute mode before comparing
-        # fingerprints: the mode is part of the model hash, so a worker
-        # left on the other mode would 409 every handshake instead of
-        # just evaluating the way the coordinator asked.
-        mode = str(config.get("compute", "exact"))
-        if mode != self.detector.config.features.compute:
-            self.detector.set_compute(mode)
         fingerprint = scan_fingerprint(
             self.layout,
             int(config["layer"]),

@@ -62,48 +62,6 @@ def density_grid(
     return accum.astype(np.float64) / float(cell_area)
 
 
-def density_grid_fast(
-    rects: Iterable[Rect],
-    window: Rect,
-    resolution: int,
-) -> np.ndarray:
-    """Vectorized :func:`density_grid`: bit-identical, one matmul.
-
-    Per-rectangle row/column overlap lengths are built by broadcasting
-    and combined with an int64 matrix product — integer addition is
-    associative, so the different accumulation order still yields the
-    exact integer cell areas the scalar double loop produces, and the
-    single final division matches bit for bit.
-    """
-    if resolution <= 0:
-        raise GeometryError(f"resolution must be positive, got {resolution}")
-    if window.width % resolution or window.height % resolution:
-        raise GeometryError(
-            f"window {window.width}x{window.height} not divisible by resolution {resolution}"
-        )
-    cell_w = window.width // resolution
-    cell_h = window.height // resolution
-    cell_area = cell_w * cell_h
-    clipped = [r for r in (rect.intersection(window) for rect in rects) if r]
-    if not clipped:
-        return np.zeros((resolution, resolution), dtype=np.float64)
-    arr = np.array(
-        [(r.x0, r.y0, r.x1, r.y1) for r in clipped], dtype=np.int64
-    )
-    col_starts = window.x0 + np.arange(resolution, dtype=np.int64) * cell_w
-    row_starts = window.y0 + np.arange(resolution, dtype=np.int64) * cell_h
-    overlap_w = np.minimum(arr[:, 2, None], col_starts[None, :] + cell_w) - np.maximum(
-        arr[:, 0, None], col_starts[None, :]
-    )
-    overlap_h = np.minimum(arr[:, 3, None], row_starts[None, :] + cell_h) - np.maximum(
-        arr[:, 1, None], row_starts[None, :]
-    )
-    np.maximum(overlap_w, 0, out=overlap_w)
-    np.maximum(overlap_h, 0, out=overlap_h)
-    accum = overlap_h.T @ overlap_w  # (rows, rects) @ (rects, cols)
-    return accum.astype(np.float64) / float(cell_area)
-
-
 def window_density(rects: Iterable[Rect], window: Rect) -> float:
     """Fraction of ``window`` covered by non-overlapping rectangles."""
     covered = sum(rect.intersection_area(window) for rect in rects)

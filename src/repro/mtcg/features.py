@@ -125,47 +125,38 @@ def extract_topological_features(
     window: Rect,
     *,
     diagonal_max_gap: Optional[int] = None,
-    compute: str = "exact",
 ) -> list[RuleRect]:
     """Full Section III-C extraction over one pattern window.
 
     Builds the horizontally tiled ``Ch`` (with diagonal edges) and the
     vertically tiled ``Cv``, extracts all four feature types from them, and
     returns the deduplicated, canonically sorted rule-rectangle list.
-    ``compute="fast"`` routes the tiling sweeps and graph builds through
-    :mod:`repro.mtcg.fastscan`; the output is bit-identical.
     """
     # This is the hottest path in the pipeline (once per clip per schema
     # build); a full span per call would dominate the trace, so timings
     # aggregate into one tally — and only when tracing is on.  The tally
     # *count* is a contract: the cache regression tests assert exactly one
     # sweep per unique clip per scan through it, so it must stay on the
-    # uncached path and fire once per extraction — in both compute modes.
-    fast = compute == "fast"
+    # uncached path and fire once per extraction.
     if obs.enabled():
         started = time.perf_counter()
-        result = _extract_topological_features(rects, window, diagonal_max_gap, fast)
+        result = _extract_topological_features(rects, window, diagonal_max_gap)
         obs.tally("mtcg.features", time.perf_counter() - started)
         return result
-    return _extract_topological_features(rects, window, diagonal_max_gap, fast)
+    return _extract_topological_features(rects, window, diagonal_max_gap)
 
 
 def _extract_topological_features(
     rects: Sequence[Rect],
     window: Rect,
     diagonal_max_gap: Optional[int],
-    fast: bool = False,
 ) -> list[RuleRect]:
-    h_tiling = horizontal_tiling(rects, window, fast=fast)
-    v_tiling = vertical_tiling(rects, window, fast=fast)
+    h_tiling = horizontal_tiling(rects, window)
+    v_tiling = vertical_tiling(rects, window)
     ch = build_mtcg(
-        h_tiling,
-        "h",
-        with_diagonals=True,
-        diagonal_max_gap=diagonal_max_gap,
-        fast=fast,
+        h_tiling, "h", with_diagonals=True, diagonal_max_gap=diagonal_max_gap
     )
-    cv = build_mtcg(v_tiling, "v", fast=fast)
+    cv = build_mtcg(v_tiling, "v")
 
     features: set[RuleRect] = set()
     features.update(internal_features(ch, window))

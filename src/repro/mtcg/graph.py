@@ -153,41 +153,21 @@ def build_mtcg(
     *,
     with_diagonals: bool = False,
     diagonal_max_gap: Optional[int] = None,
-    fast: bool = False,
 ) -> Mtcg:
     """Build the constraint graph of ``tiling`` along ``axis``.
 
     Section III-C adds diagonal edges only to the horizontally tiled
     horizontal constraint graph; callers opt in with ``with_diagonals``.
-    ``fast`` uses the vectorized pair sweeps in
-    :mod:`repro.mtcg.fastscan`; the edge list (content *and* order) is
-    identical to the scalar loops — integer geometry has no rounding.
     """
     if axis not in ("h", "v"):
         raise TilingError(f"axis must be 'h' or 'v', got {axis!r}")
     graph = Mtcg(tiling, axis)
-    if fast:
-        from repro.mtcg import fastscan
-
-        rects = [t.rect for t in tiling.tiles]
-        adjacent = fastscan.adjacent_pairs(rects, axis)
-        diagonal = (
-            fastscan.diagonal_pairs(
-                rects, [t.is_block for t in tiling.tiles], diagonal_max_gap
-            )
-            if with_diagonals
-            else []
-        )
-    else:
-        adjacent = _adjacent_pairs(tiling, axis)
-        diagonal = (
-            _diagonal_pairs(tiling, diagonal_max_gap) if with_diagonals else []
-        )
     seen: set[tuple[int, int]] = set()
-    for source, target in adjacent:
+    for source, target in _adjacent_pairs(tiling, axis):
         if (source, target) not in seen:
             seen.add((source, target))
             graph.edges.append(MtcgEdge(source, target))
-    for source, target in diagonal:
-        graph.edges.append(MtcgEdge(source, target, diagonal=True))
+    if with_diagonals:
+        for source, target in _diagonal_pairs(tiling, diagonal_max_gap):
+            graph.edges.append(MtcgEdge(source, target, diagonal=True))
     return graph

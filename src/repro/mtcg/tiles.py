@@ -104,63 +104,34 @@ def _clip_blocks(rects: Sequence[Rect], window: Rect) -> list[Rect]:
     return clipped
 
 
-def _validate(tiling: Tiling, fast: bool) -> None:
-    """Raise unless the tiling exactly covers its window.
-
-    Integer geometry makes the fast (vectorized) check's verdict equal
-    to the scalar one; only the constant factor differs.
-    """
-    if fast:
-        from repro.mtcg.fastscan import tiling_covers_window
-
-        ok = tiling_covers_window([t.rect for t in tiling.tiles], tiling.window)
-    else:
-        ok = tiling.covers_window()
-    if not ok:
-        raise TilingError(
-            f"{tiling.orientation} tiling does not exactly cover the window"
-        )
-
-
-def horizontal_tiling(
-    rects: Sequence[Rect], window: Rect, *, fast: bool = False
-) -> Tiling:
+def horizontal_tiling(rects: Sequence[Rect], window: Rect) -> Tiling:
     """Tile ``window`` with blocks and maximal horizontal space strips.
 
     Space is cut at every block top/bottom edge; within each horizontal
     slab the free x-intervals become space tiles; vertically adjacent space
     tiles with identical x-extent are merged so strips are maximal.
     Blocks are merged vertically first so each block tile is maximal too.
-
-    ``fast`` swaps the per-slab cursor sweep and the O(n²) cover check
-    for the vectorized versions in :mod:`repro.mtcg.fastscan`; the
-    resulting tiling is bit-identical (pinned by property tests).
     """
     blocks = merge_vertical(_clip_blocks(rects, window))
-    if fast:
-        from repro.mtcg.fastscan import space_strips
+    y_cuts = {window.y0, window.y1}
+    for block in blocks:
+        y_cuts.add(block.y0)
+        y_cuts.add(block.y1)
+    ys = sorted(y_cuts)
 
-        raw_spaces = space_strips(blocks, window)
-    else:
-        y_cuts = {window.y0, window.y1}
-        for block in blocks:
-            y_cuts.add(block.y0)
-            y_cuts.add(block.y1)
-        ys = sorted(y_cuts)
-
-        # Collect raw space strips per slab.
-        raw_spaces = []
-        for y0, y1 in zip(ys, ys[1:]):
-            occupied = sorted(
-                (b.x0, b.x1) for b in blocks if b.y0 < y1 and y0 < b.y1
-            )
-            cursor = window.x0
-            for bx0, bx1 in occupied:
-                if bx0 > cursor:
-                    raw_spaces.append(Rect(cursor, y0, bx0, y1))
-                cursor = max(cursor, bx1)
-            if cursor < window.x1:
-                raw_spaces.append(Rect(cursor, y0, window.x1, y1))
+    # Collect raw space strips per slab.
+    raw_spaces: list[Rect] = []
+    for y0, y1 in zip(ys, ys[1:]):
+        occupied = sorted(
+            (b.x0, b.x1) for b in blocks if b.y0 < y1 and y0 < b.y1
+        )
+        cursor = window.x0
+        for bx0, bx1 in occupied:
+            if bx0 > cursor:
+                raw_spaces.append(Rect(cursor, y0, bx0, y1))
+            cursor = max(cursor, bx1)
+        if cursor < window.x1:
+            raw_spaces.append(Rect(cursor, y0, window.x1, y1))
 
     spaces = merge_vertical(raw_spaces)
     tiles: list[Tile] = []
@@ -169,13 +140,12 @@ def horizontal_tiling(
     for rect in sorted(spaces):
         tiles.append(Tile(rect, TileKind.SPACE, len(tiles)))
     tiling = Tiling(window, tuple(tiles), "horizontal")
-    _validate(tiling, fast)
+    if not tiling.covers_window():
+        raise TilingError("horizontal tiling does not exactly cover the window")
     return tiling
 
 
-def vertical_tiling(
-    rects: Sequence[Rect], window: Rect, *, fast: bool = False
-) -> Tiling:
+def vertical_tiling(rects: Sequence[Rect], window: Rect) -> Tiling:
     """Tile ``window`` with blocks and maximal vertical space strips.
 
     Implemented as the transpose of :func:`horizontal_tiling`: coordinates
@@ -184,11 +154,12 @@ def vertical_tiling(
     """
     swapped_window = Rect(window.y0, window.x0, window.y1, window.x1)
     swapped_rects = [Rect(r.y0, r.x0, r.y1, r.x1) for r in _clip_blocks(rects, window)]
-    transposed = horizontal_tiling(swapped_rects, swapped_window, fast=fast)
+    transposed = horizontal_tiling(swapped_rects, swapped_window)
     tiles = tuple(
         Tile(Rect(t.rect.y0, t.rect.x0, t.rect.y1, t.rect.x1), t.kind, t.index)
         for t in transposed.tiles
     )
     tiling = Tiling(window, tiles, "vertical")
-    _validate(tiling, fast)
+    if not tiling.covers_window():
+        raise TilingError("vertical tiling does not exactly cover the window")
     return tiling

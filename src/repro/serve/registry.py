@@ -84,20 +84,12 @@ class ModelRegistry:
         every loaded detector (including hot reloads) so repeated clip
         geometries are extracted and scored once across requests and
         model versions.
-    compute:
-        Optional compute-mode override ("exact"/"fast") applied to every
-        loaded detector (including hot reloads).  Fast mode compacts and
-        caches the blocked-kernel state of every support-vector machine
-        at load time, so the first request pays no warm-up.
     """
 
-    def __init__(
-        self, poll_interval: float = 1.0, metrics=None, cache=None, compute=None
-    ) -> None:
+    def __init__(self, poll_interval: float = 1.0, metrics=None, cache=None) -> None:
         self.poll_interval = poll_interval
         self.metrics = metrics
         self.cache = cache
-        self.compute = compute
         self._entries: dict[str, ModelEntry] = {}
         self._lock = threading.Lock()
         self._last_poll: dict[str, float] = {}
@@ -125,12 +117,6 @@ class ModelRegistry:
                 detector.metrics_sink_ = self.metrics
             if self.cache is not None:
                 detector.attach_cache(self.cache)
-            if self.compute is not None:
-                detector.set_compute(self.compute)
-            if detector.config.features.compute == "fast":
-                from repro.svm.fastpath import warm_fast_states
-
-                warm_fast_states(detector)
         except (OSError, ValueError) as exc:
             raise ServeError(f"cannot load model {name!r} from {path}: {exc}") from exc
         entry = ModelEntry(

@@ -56,7 +56,6 @@ class ServeService:
         breaker: Optional[BreakerConfig] = None,
         cache: Optional[object] = None,
         cache_dir=None,
-        compute: Optional[str] = None,
     ) -> None:
         self.metrics = metrics or MetricsRegistry()
         if cache is None and cache_dir is not None:
@@ -68,15 +67,11 @@ class ServeService:
         #: Shared across every loaded model version: a clip geometry seen
         #: by any request warms features/margins for all later requests.
         self.cache = cache
-        self.registry = registry or ModelRegistry(
-            metrics=self.metrics, cache=cache, compute=compute
-        )
+        self.registry = registry or ModelRegistry(metrics=self.metrics, cache=cache)
         if self.registry.metrics is None:
             self.registry.metrics = self.metrics
         if self.registry.cache is None and cache is not None:
             self.registry.cache = cache
-        if self.registry.compute is None and compute is not None:
-            self.registry.compute = compute
         self.batcher = MicroBatcher(
             self._evaluate_batch, batching or BatchingConfig(), metrics=self.metrics
         )

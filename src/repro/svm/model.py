@@ -97,7 +97,6 @@ class SupportVectorClassifier:
         self.support_vectors_ = matrix[support]
         self.dual_coef_ = (result.alpha * labels)[support]
         self.bias_ = result.bias
-        self._fast_state_ = None
         return self
 
     # ------------------------------------------------------------------
@@ -155,36 +154,6 @@ class SupportVectorClassifier:
             [float(gram.max()) for gram in self._gram_rows(matrix)],
             dtype=np.float64,
         )
-
-    # ------------------------------------------------------------------
-    def fast_state(self):
-        """This classifier's blocked-GEMM evaluation state, built lazily.
-
-        See :mod:`repro.svm.fastpath`; the state is invalidated by
-        ``fit`` and rebuilt on first use, so callers may hold it only
-        transiently.
-        """
-        state = getattr(self, "_fast_state_", None)
-        if state is None:
-            from repro.svm.fastpath import FastKernelState
-
-            state = FastKernelState.from_classifier(self)
-            self._fast_state_ = state
-        return state
-
-    def decision_function_fast(self, matrix: np.ndarray) -> np.ndarray:
-        """Blocked-GEMM margins: batch-partition-invariant, not bit-equal
-        to :meth:`decision_function` (drift bounded by
-        :data:`repro.svm.fastpath.MAX_ULP_DRIFT` scale-ulps)."""
-        single = np.asarray(matrix).ndim == 1
-        values = self.fast_state().decision_function(matrix)
-        return values[0] if single else values
-
-    def decision_and_similarity_fast(
-        self, matrix: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fast margins plus max support-vector similarity in one pass."""
-        return self.fast_state().evaluate(matrix)
 
     def predict(self, matrix: np.ndarray, threshold: float = 0.0) -> np.ndarray:
         """Class labels (+1/-1); ``threshold`` shifts the decision boundary.

@@ -104,11 +104,6 @@ class ScanOptions:
     #: Workers open it read/write, so a warm cache accelerates even
     #: freshly-scanned shards; defaults to the detector cache's directory.
     cache_dir: Optional[Union[str, Path]] = None
-    #: Margin compute mode for this scan ("exact"/"fast"); ``None`` keeps
-    #: the detector's configured mode.  The mode is part of the scan
-    #: fingerprint (via the model hash), so exact and fast journals never
-    #: mix.
-    compute: Optional[str] = None
 
 
 @dataclass
@@ -689,16 +684,6 @@ def run_sharded_scan(
     model = detector.model_
     if model is None:
         raise NotFittedError("sharded scan used before fit()")
-    previous_compute = detector.config.features.compute
-    if options.compute is not None and options.compute != previous_compute:
-        detector.set_compute(options.compute)
-        try:
-            return run_sharded_scan(
-                detector, layout, layer=layer, quarantine=quarantine,
-                options=options,
-            )
-        finally:
-            detector.set_compute(previous_compute)
     config = detector.config
     shard_side = options.shard_side or config.spec.clip_side * DEFAULT_SHARD_CLIPS
     if options.incremental and options.journal_dir is None:

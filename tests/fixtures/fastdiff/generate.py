@@ -1,32 +1,58 @@
-"""Regenerate the exact-vs-fast regression fixtures (deterministic).
+"""Regenerate the extraction fixture corpus and its expected records.
 
-Each fixture is a small GDSII layout that once tripped — or plausibly
-could trip — a divergence between the scalar extraction sweeps and the
-vectorized fast ones: degenerate unit/hairline rects, edge- and
+Each fixture is a small GDSII layout whose geometry stresses the
+sweep-line extraction: degenerate unit/hairline rects, edge- and
 corner-touching lattices, windows with no geometry at all, rects
 spanning the window boundary, and one seeded mutation soup.  They were
-promoted out of fuzz-mutant triage into named fixtures so the exact ==
-fast contract is pinned on the nastiest inputs we know, not just on
-hypothesis' random draws.
+promoted out of fuzz-mutant triage into named fixtures so extraction is
+pinned on the nastiest inputs we know, not just on hypothesis' random
+draws.
+
+Next to each ``<name>.gds`` the generator writes
+``<name>.expected.json``: for every window in :data:`WINDOWS`, the
+horizontal and vertical tilings, the MTCG edges, the topological rule
+rectangles, the nontopological features and the density grid that
+extraction produces from the GDS file.  ``tests/test_fastdiff_fixtures.py``
+recomputes each part and compares it bit for bit.
 
 Run from the repo root to rebuild::
 
     PYTHONPATH=src python tests/fixtures/fastdiff/generate.py
 
 The generator is seeded (no wall-clock, no entropy), so a rebuild is
-byte-identical to the committed files.
+byte-identical to the committed files unless extraction itself changed
+-- CI rebuilds the corpus and fails on any diff.
 """
 
+import json
 import random
+import re
+from dataclasses import asdict
 from pathlib import Path
 
+from repro.features.nontopo import extract_nontopo_features
+from repro.geometry.grid import density_grid
 from repro.geometry.rect import Rect
-from repro.layout.io import save_layout_gds
+from repro.layout.io import load_layout_gds, save_layout_gds
 from repro.layout.layout import Layout
+from repro.mtcg.features import extract_topological_features
+from repro.mtcg.graph import build_mtcg
+from repro.mtcg.tiles import horizontal_tiling, vertical_tiling
 
 HERE = Path(__file__).parent
 LAYER = 1
 SEED = 20260809
+
+#: Every fixture is extracted inside each of these windows.  The second
+#: window is empty for most fixtures -- the empty-window case is part of
+#: the contract, not an accident.
+WINDOWS = [
+    Rect(0, 0, 600, 600),
+    Rect(600, 600, 1200, 1200),
+    Rect(0, 0, 1200, 1200),
+]
+DENSITY_RESOLUTION = 12
+DIAGONAL_MAX_GAP = 600
 
 
 def _layout(rects):
@@ -140,11 +166,97 @@ CASES = {
 }
 
 
+def window_key(window):
+    return f"{window.x0},{window.y0},{window.x1},{window.y1}"
+
+
+def fixture_rects(name, window):
+    """The rects of fixture ``name`` overlapping ``window``, read from its GDS."""
+    layout = load_layout_gds(HERE / f"{name}.gds")
+    return layout.rects_in_window(layout.layer_numbers()[0], window)
+
+
+def tilings(rects, window):
+    return {
+        tiling.orientation: [
+            [t.rect.x0, t.rect.y0, t.rect.x1, t.rect.y1, t.kind.value, t.index]
+            for t in tiling.tiles
+        ]
+        for tiling in (horizontal_tiling(rects, window), vertical_tiling(rects, window))
+    }
+
+
+def edges(rects, window):
+    return {
+        axis: [
+            [e.source, e.target, e.diagonal]
+            for e in build_mtcg(
+                tiling_fn(rects, window),
+                axis,
+                with_diagonals=True,
+                diagonal_max_gap=DIAGONAL_MAX_GAP,
+            ).edges
+        ]
+        for tiling_fn, axis in ((horizontal_tiling, "h"), (vertical_tiling, "v"))
+    }
+
+
+def rules(rects, window):
+    return [
+        [r.feature_type.value, r.dx, r.dy, r.width, r.height, r.boundary_mark]
+        for r in extract_topological_features(
+            rects, window, diagonal_max_gap=DIAGONAL_MAX_GAP
+        )
+    ]
+
+
+def nontopo(rects, window):
+    return asdict(extract_nontopo_features(rects, window))
+
+
+def density(rects, window):
+    clipped = [r for r in (rect.clipped(window) for rect in rects) if r]
+    return density_grid(clipped, window, DENSITY_RESOLUTION).tolist()
+
+
+#: Part name -> the function that computes it; a record holds every part per window.
+PARTS = {
+    "tilings": tilings,
+    "edges": edges,
+    "rules": rules,
+    "nontopo": nontopo,
+    "density": density,
+}
+
+
+def expected_record(name):
+    """Every part of fixture ``name``, per window, as JSON-ready lists."""
+    record = {}
+    for window in WINDOWS:
+        rects = fixture_rects(name, window)
+        record[window_key(window)] = {
+            part: compute(rects, window) for part, compute in PARTS.items()
+        }
+    return record
+
+
+def dumps(record):
+    """JSON with each innermost list (a tile, edge, rule or grid row) on one line."""
+    text = json.dumps(record, indent=1, sort_keys=True)
+    return re.sub(
+        r"\[\s+([^\[\]{}]*?)\s+\]",
+        lambda match: "[" + " ".join(match.group(1).split()) + "]",
+        text,
+    ) + "\n"
+
+
 def main():
     for name, build in CASES.items():
         path = HERE / f"{name}.gds"
         save_layout_gds(_layout(build()), path)
-        print(f"wrote {path.name}")
+        expected = HERE / f"{name}.expected.json"
+        expected.write_text(dumps(expected_record(name)))
+        print(f"wrote {path.name} and {expected.name}")
 
 
 if __name__ == "__main__":

@@ -181,173 +181,6 @@ class TestIncrementalBitIdentical:
 
 
 # ----------------------------------------------------------------------
-# exact vs fast: the vectorized mode against its oracle
-# ----------------------------------------------------------------------
-def margins_within_bound(detector, exact_margins, fast_margins):
-    """Fast margins must sit within the documented scale-ulp bound."""
-    from repro.svm.fastpath import MAX_ULP_DRIFT, margin_drift_ulps
-
-    scale = max(
-        kernel.model.fast_state().scale for kernel in detector.model_.kernels
-    )
-    drift = margin_drift_ulps(
-        np.asarray(exact_margins), np.asarray(fast_margins), scale
-    )
-    assert drift <= MAX_ULP_DRIFT, f"margin drift {drift} ulps > {MAX_ULP_DRIFT}"
-
-
-def assert_equivalent(detector, exact, fast):
-    """The exact-vs-fast contract: same decisions, ulp-bounded margins."""
-    assert exact[0] == fast[0]  # hotspot report set
-    assert exact[1] == fast[1]  # extraction funnel counts
-    assert exact[2].shape == fast[2].shape
-    margins_within_bound(detector, exact[2], fast[2])
-
-
-class TestExactVsFastDifferential:
-    """Fast mode must reproduce exact mode's decisions on every backend.
-
-    Margins are allowed to drift inside the documented scale-ulp bound
-    (``repro.svm.fastpath.MAX_ULP_DRIFT``); hotspot sets and funnel
-    counts must be identical.
-    """
-
-    def _mode_signature(self, detector, layout, mode, **detect_kwargs):
-        previous = detector.config.features.compute
-        detector.set_compute(mode)
-        try:
-            return signature(detector, detector.detect(layout, **detect_kwargs))
-        finally:
-            detector.set_compute(previous)
-
-    def test_thread_backend(self, detached, small_benchmark):
-        layout = small_benchmark.testing.layout
-        exact = self._mode_signature(detached, layout, "exact")
-        fast = self._mode_signature(detached, layout, "fast")
-        assert_equivalent(detached, exact, fast)
-        assert exact[0]  # the comparison covers real hotspots
-
-    def test_fast_mode_is_reproducible(self, detached, small_benchmark):
-        layout = small_benchmark.testing.layout
-        first = self._mode_signature(detached, layout, "fast")
-        second = self._mode_signature(detached, layout, "fast")
-        assert_identical(first, second)  # fast vs fast is bit-identical
-
-    def test_process_backend_via_scan_options(self, detached, small_benchmark):
-        """ScanOptions.compute switches the mode for one scan and
-        restores the detector's configured mode afterwards."""
-        layout = small_benchmark.testing.layout
-        exact = signature(
-            detached, detached.detect(layout, work=ScanOptions(workers=2))
-        )
-        report = detached.detect(
-            layout, work=ScanOptions(workers=2, compute="fast")
-        )
-        assert report.compute == "fast"
-        assert detached.config.features.compute == "exact"  # restored
-        detached.set_compute("fast")
-        try:
-            fast = signature(detached, report)
-        finally:
-            detached.set_compute("exact")
-        assert_equivalent(detached, exact, fast)
-
-    def test_process_matches_thread_in_fast_mode(
-        self, detached, small_benchmark
-    ):
-        layout = small_benchmark.testing.layout
-        thread = self._mode_signature(detached, layout, "fast")
-        process = self._mode_signature(
-            detached, layout, "fast", work=ScanOptions(workers=2)
-        )
-        assert_identical(thread, process)
-
-    def test_fleet_backend_adopts_coordinator_mode(
-        self, fitted, small_benchmark, tmp_path
-    ):
-        """A worker loaded in exact mode re-homes onto a fast coordinator:
-        it must adopt the mode during the handshake (the fingerprint
-        embeds it) and the fleet scan must match a local fast scan."""
-        import threading
-
-        from repro.core.persist import load_detector
-        from repro.fleet import FleetCoordinator, FleetOptions, FleetWorker
-
-        layout = small_benchmark.testing.layout
-        save_detector(fitted, tmp_path / "model.npz", name="diff")
-        coordinator_detector = load_detector(tmp_path / "model.npz")
-        coordinator_detector.set_compute("fast")
-        worker_detector = load_detector(tmp_path / "model.npz")
-        assert worker_detector.config.features.compute == "exact"
-
-        coordinator = FleetCoordinator(
-            coordinator_detector, layout, options=FleetOptions()
-        )
-        with coordinator:
-            worker = FleetWorker(
-                coordinator.url, worker_detector, layout, "exact-loaded"
-            )
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-            assert coordinator.wait(timeout=300), coordinator.status()
-            thread.join(timeout=30)
-            scan = coordinator.result()
-        assert worker_detector.config.features.compute == "fast"  # adopted
-
-        fleet_report = coordinator_detector.detect(layout, scan=scan)
-        local_report = coordinator_detector.detect(layout)
-        assert fleet_report.compute == "fast"
-        fleet = signature(coordinator_detector, fleet_report)
-        local = signature(coordinator_detector, local_report)
-        assert_identical(fleet, local)
-
-
-class TestComputeModeCacheSplit:
-    """Warm margins of one mode must never be served to the other.
-
-    The margin-cache namespace embeds the compute mode via
-    ``model_fingerprint``; the feature namespace deliberately does not
-    (extraction is bit-identical across modes), so switching modes keeps
-    feature hits and loses only margin hits.
-    """
-
-    def test_exact_cache_not_served_to_fast_and_vice_versa(
-        self, detached, small_benchmark, tmp_path
-    ):
-        layout = small_benchmark.testing.layout
-        detached.attach_cache(HotspotCache(directory=tmp_path / "cache"))
-
-        cold_exact = detached.detect(layout)
-        warm_exact = detached.detect(layout)
-        assert warm_exact.cache_stats["margin_hits"] > 0
-        assert warm_exact.cache_stats["margin_misses"] == 0
-
-        detached.set_compute("fast")
-        try:
-            cold_fast = detached.detect(layout)
-            # The warm exact margins are invisible to the fast scan ...
-            assert cold_fast.cache_stats["margin_hits"] == 0
-            assert cold_fast.cache_stats["margin_misses"] > 0
-            # ... but the feature namespace is shared across modes.
-            assert cold_fast.cache_stats["feature_hits"] > 0
-            assert cold_fast.cache_stats["feature_misses"] == 0
-            warm_fast = detached.detect(layout)
-            assert warm_fast.cache_stats["margin_hits"] > 0
-            assert warm_fast.cache_stats["margin_misses"] == 0
-        finally:
-            detached.set_compute("exact")
-
-        # Fast margins did not poison the exact namespace either.
-        still_warm_exact = detached.detect(layout)
-        assert still_warm_exact.cache_stats["margin_hits"] > 0
-        assert still_warm_exact.cache_stats["margin_misses"] == 0
-        assert_identical(
-            signature(detached, cold_exact),
-            signature(detached, still_warm_exact),
-        )
-
-
-# ----------------------------------------------------------------------
 # CLI-level differential: the flags wire through end to end
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -406,21 +239,6 @@ class TestCliDifferential:
         assert "reused" in rescan.stderr
         # Incremental keeps the journal for the next diff.
         assert (cli_workdir / "journal" / "journal.jsonl").exists()
-
-    def test_compute_flag_end_to_end(self, cli_workdir):
-        base = [
-            "scan",
-            "--model", "model.npz",
-            "--layout", "layout.gds",
-            "--no-manifest",
-            "--no-cache",
-        ]
-        exact = _run_cli(base, cli_workdir)
-        assert exact.returncode == 0, exact.stderr
-        fast = _run_cli([*base, "--compute", "fast"], cli_workdir)
-        assert fast.returncode == 0, fast.stderr
-        assert _core_lines(exact.stdout) == _core_lines(fast.stdout)
-        assert _core_lines(exact.stdout)  # found actual hotspots
 
     def test_incremental_without_journal_is_an_error(self, cli_workdir):
         result = _run_cli(

@@ -1,118 +1,63 @@
-"""Named exact-vs-fast regression fixtures (``tests/fixtures/fastdiff``).
+"""Named extraction regression fixtures (``tests/fixtures/fastdiff``).
 
 Each fixture is a small GDSII layout promoted out of fuzz-mutant triage
-because its geometry stresses the vectorized sweeps: degenerate
+because its geometry stresses the sweep-line extraction: degenerate
 unit/hairline rects, edge- and corner-touching lattices, windows with
 no geometry, rects spanning the window boundary, and a seeded mutation
-soup.  The contract under test is bit-identity — the fast sweeps are
+soup.  Next to each GDS file sits the expected record the generator
+wrote: per window, the tilings, the MTCG edges, the topological rules,
+the nontopological features and the density grid.  Extraction is
 integer geometry, so every comparison here is ``==``, never a
 tolerance.  ``tests/fixtures/fastdiff/generate.py`` rebuilds the corpus
 deterministically.
 """
 
+import importlib.util
+import json
 from pathlib import Path
 
-import numpy as np
 import pytest
-
-from repro.features.nontopo import extract_nontopo_features
-from repro.geometry.grid import density_grid, density_grid_fast
-from repro.geometry.rect import Rect
-from repro.layout.io import load_layout_gds
-from repro.mtcg.features import extract_topological_features
-from repro.mtcg.graph import build_mtcg
-from repro.mtcg.tiles import horizontal_tiling, vertical_tiling
 
 FIXTURES = Path(__file__).parent / "fixtures" / "fastdiff"
 CASES = sorted(p.stem for p in FIXTURES.glob("*.gds"))
 
-#: Every fixture is compared inside each of these windows.  The second
-#: window is empty for most fixtures — the empty-window case is part of
-#: the contract, not an accident.
-WINDOWS = [
-    Rect(0, 0, 600, 600),
-    Rect(600, 600, 1200, 1200),
-    Rect(0, 0, 1200, 1200),
-]
-DENSITY_RESOLUTION = 12
-DIAGONAL_MAX_GAP = 600
-
-
-def _fixture_rects(name, window):
-    layout = load_layout_gds(FIXTURES / f"{name}.gds")
-    layer = layout.layer_numbers()[0]
-    return layout.rects_in_window(layer, window)
+_spec = importlib.util.spec_from_file_location(
+    "fastdiff_generate", FIXTURES / "generate.py"
+)
+generate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generate)
 
 
 def test_corpus_is_complete():
-    """The committed corpus holds every named case, no strays."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "fastdiff_generate", FIXTURES / "generate.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-
-    assert CASES == sorted(module.CASES)
+    """The committed corpus holds every named case and its record, no strays."""
+    assert CASES == sorted(generate.CASES)
     assert 8 <= len(CASES) <= 12
+    records = sorted(p.name for p in FIXTURES.glob("*.expected.json"))
+    assert records == sorted(f"{name}.expected.json" for name in CASES)
+
+
+def _check(part, name, window):
+    """Recompute one part of one fixture window; compare with its record."""
+    expected = json.loads((FIXTURES / f"{name}.expected.json").read_text())
+    rects = generate.fixture_rects(name, window)
+    actual = json.loads(json.dumps(generate.PARTS[part](rects, window)))
+    assert actual == expected[generate.window_key(window)][part]
 
 
 @pytest.mark.parametrize("name", CASES)
-@pytest.mark.parametrize("window", WINDOWS, ids=lambda w: f"{w.x0}_{w.y0}")
+@pytest.mark.parametrize("window", generate.WINDOWS, ids=lambda w: f"{w.x0}_{w.y0}")
 class TestFastdiffFixtures:
     def test_tilings_bit_identical(self, name, window):
-        rects = _fixture_rects(name, window)
-        for tiling_fn in (horizontal_tiling, vertical_tiling):
-            scalar = tiling_fn(rects, window, fast=False)
-            fast = tiling_fn(rects, window, fast=True)
-            assert [(t.rect, t.kind, t.index) for t in fast.tiles] == [
-                (t.rect, t.kind, t.index) for t in scalar.tiles
-            ]
+        _check("tilings", name, window)
 
     def test_constraint_graphs_bit_identical(self, name, window):
-        rects = _fixture_rects(name, window)
-        for tiling_fn, axis in ((horizontal_tiling, "h"), (vertical_tiling, "v")):
-            tiling = tiling_fn(rects, window)
-            scalar = build_mtcg(
-                tiling,
-                axis,
-                with_diagonals=True,
-                diagonal_max_gap=DIAGONAL_MAX_GAP,
-                fast=False,
-            )
-            fast = build_mtcg(
-                tiling,
-                axis,
-                with_diagonals=True,
-                diagonal_max_gap=DIAGONAL_MAX_GAP,
-                fast=True,
-            )
-            assert fast.edges == scalar.edges
+        _check("edges", name, window)
 
     def test_topological_extraction_bit_identical(self, name, window):
-        rects = _fixture_rects(name, window)
-        exact = extract_topological_features(
-            rects, window, diagonal_max_gap=DIAGONAL_MAX_GAP, compute="exact"
-        )
-        fast = extract_topological_features(
-            rects, window, diagonal_max_gap=DIAGONAL_MAX_GAP, compute="fast"
-        )
-        assert fast == exact
+        _check("rules", name, window)
 
     def test_nontopo_extraction_bit_identical(self, name, window):
-        rects = _fixture_rects(name, window)
-        exact = extract_nontopo_features(rects, window, compute="exact")
-        fast = extract_nontopo_features(rects, window, compute="fast")
-        assert fast == exact
+        _check("nontopo", name, window)
 
     def test_density_grid_bit_identical(self, name, window):
-        rects = [
-            r
-            for r in (rect.clipped(window) for rect in _fixture_rects(name, window))
-            if r
-        ]
-        scalar = density_grid(rects, window, DENSITY_RESOLUTION)
-        fast = density_grid_fast(rects, window, DENSITY_RESOLUTION)
-        assert fast.dtype == scalar.dtype
-        assert np.array_equal(fast, scalar)
+        _check("density", name, window)

@@ -125,6 +125,40 @@ class TestPersistence:
             np.savez(tmp_path / "junk.npz", a=np.zeros(3))
             read_archive_info(tmp_path / "junk.npz")
 
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_archive_with_compute_mode_loads(
+        self, mode, trained, small_benchmark, tmp_path
+    ):
+        """Older archives record a ``compute`` mode in each feature config;
+        they load and scan exactly like a fresh save."""
+        fresh = tmp_path / "fresh.npz"
+        save_detector(trained, fresh)
+        with np.load(fresh) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["features"]["compute"] = mode
+        if meta["feedback"] is not None:
+            meta["feedback"]["features"]["compute"] = mode
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        old = tmp_path / "old.npz"
+        np.savez(old, **arrays)
+
+        layout = small_benchmark.testing.layout
+        expected = load_detector(fresh).detect(layout).reports
+        reports = load_detector(old).detect(layout).reports
+        assert expected
+        assert [clip.core for clip in reports] == [clip.core for clip in expected]
+
+    def test_feature_fingerprint_is_pinned(self):
+        """On-disk feature blobs are keyed by this hash: a change to it
+        silently cold-starts every existing feature cache."""
+        from repro.cache.keys import feature_fingerprint
+        from repro.features.vector import FeatureConfig
+
+        assert feature_fingerprint(FeatureConfig()) == (
+            "763efb0f930e3b5cd489dfea122d20ffe7242076def113ae0329f1bd2cefc8db"
+        )
+
 
 class TestCli:
     def test_generate_then_train_then_scan(self, tmp_path):
@@ -194,6 +228,15 @@ class TestCli:
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["generate", "--benchmark", "nope"])
+
+    @pytest.mark.parametrize("command", ["scan", "serve", "fleet-scan", "fleet-coordinator"])
+    def test_compute_flag_rejected(self, command, capsys):
+        """There is one compute path, so no command takes ``--compute``."""
+        inputs = ["--model", "m.npz"] + ([] if command == "serve" else ["--layout", "l.gds"])
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([command, *inputs, "--compute", "fast"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --compute fast" in capsys.readouterr().err
 
 
 class TestCliExplain:

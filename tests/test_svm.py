@@ -200,6 +200,74 @@ class TestClassifier:
             SupportVectorClassifier().fit(np.zeros((4, 2)), np.array([1, -1]))
 
 
+def fitted_classifier(seed, rows=24, dims=3, far_field_floor=0.0):
+    """A small deterministic RBF model fit on seeded random data."""
+    rng = np.random.RandomState(seed)
+    matrix = rng.uniform(0.0, 10.0, size=(rows, dims))
+    labels = np.where(rng.rand(rows) < 0.5, 1, -1)
+    labels[0], labels[1] = 1, -1  # both classes always present
+    clf = SupportVectorClassifier(
+        C=10.0, gamma=0.1, far_field_floor=far_field_floor
+    )
+    clf.fit(matrix, labels)
+    return clf, rng
+
+
+def evaluate(clf, samples):
+    return clf.decision_function(samples), clf.support_similarity(samples)
+
+
+class TestRowIndependence:
+    """A row's margin and similarity must not depend on the rest of its batch.
+
+    The margin cache stores rows one clip at a time and the sharded scan
+    re-batches clips arbitrarily; both are bit-identical to a plain scan
+    only because every row is evaluated on its own.
+    """
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_samples=st.integers(1, 192),
+        far_field_floor=st.sampled_from([0.0, 0.5]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_per_row_equals_batched(self, seed, n_samples, far_field_floor):
+        clf, rng = fitted_classifier(seed, far_field_floor=far_field_floor)
+        samples = rng.uniform(-2.0, 12.0, size=(n_samples, 3))
+
+        full_values, full_similarity = evaluate(clf, samples)
+        rows = [evaluate(clf, samples[i : i + 1]) for i in range(n_samples)]
+        assert np.array_equal(full_values, np.concatenate([v for v, _ in rows]))
+        assert np.array_equal(full_similarity, np.concatenate([s for _, s in rows]))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cuts=st.lists(st.integers(1, 199), max_size=6, unique=True),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_partition_invariance(self, seed, cuts):
+        clf, rng = fitted_classifier(seed)
+        samples = rng.uniform(-2.0, 12.0, size=(200, 3))
+
+        full_values, full_similarity = evaluate(clf, samples)
+        bounds = [0] + sorted(cuts) + [200]
+        chunks = [evaluate(clf, samples[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        assert np.array_equal(full_values, np.concatenate([v for v, _ in chunks]))
+        assert np.array_equal(full_similarity, np.concatenate([s for _, s in chunks]))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_row_order_invariance(self, seed):
+        clf, rng = fitted_classifier(seed)
+        samples = rng.uniform(-2.0, 12.0, size=(135, 3))
+
+        full_values, full_similarity = evaluate(clf, samples)
+        perm = rng.permutation(samples.shape[0])
+        values, similarity = evaluate(clf, samples[perm])
+        assert np.array_equal(full_values[perm], values)
+        assert np.array_equal(full_similarity[perm], similarity)
+
+
 class TestIterativeTraining:
     def test_doubling_schedule(self):
         rng = np.random.default_rng(7)
