@@ -12,7 +12,7 @@ pipeline).
 """
 
 
-from repro.core.extraction import extract_for_detector
+from repro.core.extraction import extract_candidate_clips
 from repro.core.metrics import score_reports
 from repro.core.removal import remove_redundant_clips
 
@@ -25,7 +25,8 @@ THRESHOLDS = (-0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0)
 def sweep(name: str):
     bench = get_benchmark(name)
     detector = get_detector(name, "removal")  # no feedback: pure threshold sweep
-    extraction = extract_for_detector(bench.testing.layout, detector.config)
+    config = detector.config
+    extraction = extract_candidate_clips(bench.testing.layout, config.spec, config.extraction)
     margins = detector.margins(extraction.clips)
     truth = bench.testing.hotspot_cores()
 
@@ -80,5 +81,6 @@ def test_fig15_tradeoff(once):
 
     detector = get_detector("benchmark1", "removal")
     bench = get_benchmark("benchmark1")
-    extraction = extract_for_detector(bench.testing.layout, detector.config)
+    config = detector.config
+    extraction = extract_candidate_clips(bench.testing.layout, config.spec, config.extraction)
     once(detector.margins, extraction.clips[:200])

@@ -1,34 +1,23 @@
-"""Scan parallelism — thread pool vs the supervised process pool.
+"""Scan parallelism — in-process vs the supervised process pool.
 
-Times a full-layout scan of benchmark1 on the three execution paths of
-:meth:`HotspotDetector.detect`: serial, the in-process
-``ThreadPoolExecutor`` margin split, and the crash-isolated
-:class:`repro.work.SupervisedPool` sharded scan, across worker counts.
-The shape under test: the process backend pays a fixed supervision tax
-(fork + per-worker model init + shard journaling), so it must stay
-within a small factor of the thread path while buying crash isolation
-— and every path must report the identical hotspot set.
+Times a full-layout scan of benchmark1 through the one scan driver of
+:meth:`HotspotDetector.detect`: its shards evaluated in-process
+(``workers=0``, the default) and on the crash-isolated
+:class:`repro.work.SupervisedPool`, across worker counts.  The shape
+under test: the pool pays a fixed supervision tax (fork + per-worker
+model init + result pickling), so it must stay within a small factor of
+the in-process scan while buying crash isolation — and every row must
+report the identical hotspot set.
 
 Runs under the bench harness (``pytest benchmarks/bench_scan_parallel.py``)
 or standalone (``python benchmarks/bench_scan_parallel.py``).
 """
 
 import time
-from dataclasses import replace
 
-from repro.core.detector import HotspotDetector
 from repro.work import ScanOptions
 
 WORKER_COUNTS = [1, 2, 4]
-
-
-def _clone_with_config(detector, **overrides):
-    """The same trained model behind a different execution config."""
-    return HotspotDetector(
-        config=replace(detector.config, **overrides),
-        model_=detector.model_,
-        feedback_=detector.feedback_,
-    )
 
 
 def _report_key(report):
@@ -38,36 +27,18 @@ def _report_key(report):
 def run_scan_matrix(detector, layout, worker_counts=WORKER_COUNTS):
     """One result row per (backend, workers) cell; all report-identical."""
     rows = []
-    serial = _clone_with_config(detector, parallel=False)
     started = time.perf_counter()
-    baseline = serial.detect(layout)
+    baseline = detector.detect(layout)
     rows.append(
         {
-            "backend": "serial",
-            "workers": 1,
+            "backend": baseline.backend,
+            "workers": 0,
             "wall_s": round(time.perf_counter() - started, 3),
             "reports": baseline.report_count,
             "restarts": 0,
         }
     )
     reference = _report_key(baseline)
-
-    for workers in worker_counts:
-        threaded = _clone_with_config(
-            detector, parallel=True, worker_count=workers
-        )
-        started = time.perf_counter()
-        report = threaded.detect(layout)
-        assert _report_key(report) == reference, "thread backend changed reports"
-        rows.append(
-            {
-                "backend": "thread",
-                "workers": workers,
-                "wall_s": round(time.perf_counter() - started, 3),
-                "reports": report.report_count,
-                "restarts": 0,
-            }
-        )
 
     for workers in worker_counts:
         started = time.perf_counter()
@@ -101,14 +72,12 @@ def test_scan_parallel(once):
     )
 
     serial_wall = rows[0]["wall_s"]
-    best_thread = min(r["wall_s"] for r in rows if r["backend"] == "thread")
     best_process = min(r["wall_s"] for r in rows if r["backend"] == "process")
     record_metrics(
         __file__,
         serial_wall_s=serial_wall,
-        best_thread_wall_s=best_thread,
         best_process_wall_s=best_process,
-        process_overhead_x=round(best_process / max(best_thread, 1e-9), 3),
+        process_overhead_x=round(best_process / max(serial_wall, 1e-9), 3),
         reports=rows[0]["reports"],
     )
     assert all(r["reports"] == rows[0]["reports"] for r in rows)

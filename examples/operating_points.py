@@ -11,7 +11,7 @@ Run:  python examples/operating_points.py
 """
 
 from repro import DetectorConfig, HotspotDetector, generate_benchmark
-from repro.core.extraction import extract_for_detector
+from repro.core.extraction import extract_candidate_clips
 from repro.core.metrics import score_reports
 from repro.core.removal import remove_redundant_clips
 
@@ -22,7 +22,8 @@ def main() -> None:
     detector.fit(bench.training)
 
     # Compute candidate margins once; each threshold reuses them.
-    extraction = extract_for_detector(bench.testing.layout, detector.config)
+    config = detector.config
+    extraction = extract_candidate_clips(bench.testing.layout, config.spec, config.extraction)
     margins = detector.margins(extraction.clips)
     truth = bench.testing.hotspot_cores()
 

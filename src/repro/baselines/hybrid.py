@@ -24,7 +24,7 @@ import numpy as np
 from repro.baselines.pattern_match import PatternMatchConfig, PatternMatcher
 from repro.core.config import DetectorConfig
 from repro.core.detector import HotspotDetector
-from repro.core.extraction import extract_for_detector
+from repro.core.extraction import extract_candidate_clips
 from repro.core.metrics import DetectionScore, score_reports
 from repro.core.removal import remove_redundant_clips
 from repro.data.synth import TestingLayout
@@ -70,7 +70,10 @@ class HybridDetector:
 
     def detect(self, layout: Layout, layer: int = 1) -> HybridReport:
         started = time.perf_counter()
-        extraction = extract_for_detector(layout, self.ml_config, layer)
+        config = self.ml_config
+        extraction = extract_candidate_clips(
+            layout, config.spec, config.extraction, layer
+        )
         candidates = extraction.clips
 
         ml_flags = self._ml.predict_clips(candidates)

@@ -199,7 +199,6 @@ def _add_train(subparsers) -> None:
         default="ours",
         choices=("ours", "ours_med", "ours_low", "basic", "topology", "removal"),
     )
-    parser.add_argument("--parallel", action="store_true")
     group = parser.add_argument_group("resilience")
     group.add_argument(
         "--resume",
@@ -248,44 +247,36 @@ def _add_scan(subparsers) -> None:
     )
     group = parser.add_argument_group("execution")
     group.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default=None,
-        help="scan execution backend (default: the model's config, "
-        "normally 'thread'); 'process' runs a crash-isolated, "
-        "journaled sharded scan",
-    )
-    group.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
-        help="worker count for either backend",
+        help="evaluate the shards on N crash-isolated worker processes, "
+        "journaled by default (default: in this process)",
     )
     group.add_argument(
         "--shard-side",
         type=int,
         default=None,
         metavar="DBU",
-        help="process backend: shard cell edge (default 4x clip side)",
+        help="shard cell edge (default 4x clip side)",
     )
     group.add_argument(
         "--journal-dir",
         type=Path,
         default=None,
         metavar="DIR",
-        help="process backend: shard journal directory "
-        "(default: <layout>.scanjournal)",
+        help="shard journal directory (default: <layout>.scanjournal)",
     )
     group.add_argument(
         "--resume",
         action="store_true",
-        help="process backend: skip shards journaled by an interrupted run",
+        help="skip shards journaled by an interrupted run",
     )
     group.add_argument(
         "--no-journal",
         action="store_true",
-        help="process backend: scan without writing a shard journal",
+        help="scan without writing a shard journal",
     )
     cache = parser.add_argument_group("caching")
     cache.add_argument(
@@ -304,9 +295,9 @@ def _add_scan(subparsers) -> None:
     cache.add_argument(
         "--incremental",
         action="store_true",
-        help="process backend: reuse journaled shards whose influence-"
-        "region geometry is unchanged since the previous run; the "
-        "journal is kept for the next incremental scan",
+        help="reuse journaled shards whose influence-region geometry "
+        "is unchanged since the previous run; the journal is kept for "
+        "the next incremental scan",
     )
     _add_obs_arguments(parser, manifest_by_default=True)
 
@@ -531,7 +522,7 @@ def _add_fleet_scan(subparsers) -> None:
         "--resume",
         action="store_true",
         help="skip shards journaled by an interrupted fleet (or local "
-        "process-backend) scan",
+        "journaled) scan",
     )
     group.add_argument(
         "--no-journal", action="store_true", help="scan without a shard journal"
@@ -840,21 +831,15 @@ def _add_fleet_frontend(subparsers) -> None:
     )
 
 
-def _config_for(variant: str, parallel: bool = False) -> DetectorConfig:
-    factory = {
+def _config_for(variant: str) -> DetectorConfig:
+    return {
         "ours": DetectorConfig.ours,
         "ours_med": DetectorConfig.ours_med,
         "ours_low": DetectorConfig.ours_low,
         "basic": DetectorConfig.basic,
         "topology": DetectorConfig.with_topology,
         "removal": DetectorConfig.with_removal,
-    }[variant]
-    config = factory()
-    if parallel:
-        from dataclasses import replace
-
-        config = replace(config, parallel=True)
-    return config
+    }[variant]()
 
 
 def cmd_generate(args) -> int:
@@ -883,7 +868,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     with _ObsSession(args, "train") as session:
         training = load_clipset_gds(args.clips, ICCAD_SPEC)
-        detector = HotspotDetector(_config_for(args.variant, args.parallel))
+        detector = HotspotDetector(_config_for(args.variant))
         session.set_config(detector.config)
         session.set_dataset("training_clips", obs.fingerprint_clipset(training))
         session.set_dataset("source", str(args.clips))
@@ -933,9 +918,9 @@ def cmd_train(args) -> int:
 def cmd_scan(args) -> int:
     import signal
     import threading
-    from dataclasses import replace
 
     from repro.errors import ScanDrainedError
+    from repro.work import ScanOptions
 
     with _ObsSession(args, "scan") as session:
         detector = load_detector(args.model)
@@ -944,63 +929,48 @@ def cmd_scan(args) -> int:
             from repro.cache import HotspotCache
 
             detector.attach_cache(HotspotCache(directory=args.cache_dir))
-        backend = args.backend or detector.config.backend
-        if args.incremental:
-            if args.no_journal:
-                print(
-                    "--incremental needs the shard journal; "
-                    "drop --no-journal",
-                    file=sys.stderr,
-                )
-                return 2
-            if backend != "process":
-                print(
-                    "--incremental implies --backend process", file=sys.stderr
-                )
-                backend = "process"
-        if backend == "thread" and args.workers:
-            detector.config = replace(
-                detector.config, parallel=True, worker_count=args.workers
+        if args.incremental and args.no_journal:
+            print(
+                "--incremental needs the shard journal; drop --no-journal",
+                file=sys.stderr,
             )
+            return 2
         session.set_config(detector.config)
         session.set_dataset("layout", obs.fingerprint_layout(layout.layer(args.layer)))
         session.set_dataset("source", str(args.layout))
         quarantine = QuarantineReport()
 
-        work = None
-        stop_event = None
-        previous_sigterm = None
-        if backend == "process":
-            from repro.work import ScanOptions
+        # A pool scan journals by default; an in-process one when asked to.
+        journaled = not args.no_journal and bool(
+            args.workers or args.journal_dir or args.resume or args.incremental
+        )
+        stop_event = threading.Event()
+        work = ScanOptions(
+            workers=args.workers or 0,
+            shard_side=args.shard_side,
+            journal_dir=(
+                args.journal_dir or args.layout.with_suffix(".scanjournal")
+                if journaled
+                else None
+            ),
+            resume=args.resume,
+            stop_event=stop_event,
+            incremental=args.incremental,
+            cache_dir=args.cache_dir,
+        )
 
-            stop_event = threading.Event()
-            journal_dir = (
-                None
-                if args.no_journal
-                else args.journal_dir or args.layout.with_suffix(".scanjournal")
+        def _drain(signum, frame):
+            print(
+                f"signal {signum}: draining scan "
+                "(finished shards stay journaled; rerun with --resume)",
+                file=sys.stderr,
             )
-            work = ScanOptions(
-                workers=args.workers or detector.config.worker_count,
-                shard_side=args.shard_side,
-                journal_dir=journal_dir,
-                resume=args.resume,
-                stop_event=stop_event,
-                incremental=args.incremental,
-                cache_dir=args.cache_dir,
-            )
+            stop_event.set()
 
-            def _drain(signum, frame):
-                print(
-                    f"signal {signum}: draining scan "
-                    "(finished shards stay journaled; rerun with --resume)",
-                    file=sys.stderr,
-                )
-                stop_event.set()
-
-            try:
-                previous_sigterm = signal.signal(signal.SIGTERM, _drain)
-            except ValueError:
-                previous_sigterm = None  # not the main thread (tests)
+        try:
+            previous_sigterm = signal.signal(signal.SIGTERM, _drain)
+        except ValueError:
+            previous_sigterm = None  # not the main thread (tests)
         try:
             result = detector.detect(
                 layout,
@@ -1011,7 +981,9 @@ def cmd_scan(args) -> int:
             )
         except ScanDrainedError as exc:
             print(f"scan drained: {exc}", file=sys.stderr)
-            session.record(drained=True, backend=backend)
+            session.record(
+                drained=True, backend="process" if work.workers else "serial"
+            )
             session.finish(
                 default_manifest=args.model.with_suffix(".scan.manifest.json")
             )
@@ -1028,16 +1000,13 @@ def cmd_scan(args) -> int:
             feedback_degraded=result.feedback_degraded,
             eval_seconds=round(result.eval_seconds, 4),
             backend=result.backend,
+            workers=work.workers,
+            shards_total=result.shards_total,
+            shards_resumed=result.shards_resumed,
+            shards_reused=result.shards_reused,
+            worker_restarts=result.worker_restarts,
+            poison_tasks=result.poison_tasks,
         )
-        if result.backend == "process":
-            session.record(
-                workers=work.workers,
-                shards_total=result.shards_total,
-                shards_resumed=result.shards_resumed,
-                shards_reused=result.shards_reused,
-                worker_restarts=result.worker_restarts,
-                poison_tasks=result.poison_tasks,
-            )
         if result.cache_stats is not None:
             session.record(
                 **{f"cache_{key}": value for key, value in result.cache_stats.items()}
@@ -1050,15 +1019,14 @@ def cmd_scan(args) -> int:
             f"{result.report_count} hotspot reports{quarantine_note} "
             f"({result.eval_seconds:.1f}s)"
         )
-        if result.backend == "process":
-            print(
-                f"process backend: {result.shards_total} shards "
-                f"({result.shards_resumed} resumed, "
-                f"{result.shards_reused} reused), "
-                f"{result.worker_restarts} worker restarts, "
-                f"{result.poison_tasks} poison tasks",
-                file=sys.stderr,
-            )
+        print(
+            f"{result.backend} scan: {result.shards_total} shards "
+            f"({result.shards_resumed} resumed, "
+            f"{result.shards_reused} reused), "
+            f"{result.worker_restarts} worker restarts, "
+            f"{result.poison_tasks} poison tasks",
+            file=sys.stderr,
+        )
         if args.quarantine is not None:
             quarantine.write(args.quarantine)
             session.artifact("quarantine", args.quarantine)

@@ -20,11 +20,7 @@ from repro.core.training import (
     train_multi_kernel,
 )
 from repro.core.feedback import FeedbackKernel, train_feedback_kernel
-from repro.core.extraction import (
-    ExtractionReport,
-    extract_candidate_clips,
-    extract_for_detector,
-)
+from repro.core.extraction import ExtractionReport, extract_candidate_clips
 from repro.core.removal import (
     discard_redundant,
     merge_into_regions,
@@ -58,7 +54,6 @@ __all__ = [
     "train_feedback_kernel",
     "ExtractionReport",
     "extract_candidate_clips",
-    "extract_for_detector",
     "merge_into_regions",
     "region_frame",
     "reframe_region",

@@ -98,24 +98,10 @@ class DetectorConfig:
     use_topology: bool = True
     use_feedback: bool = True
     use_removal: bool = True
-    #: Thread-parallel kernel training / clip evaluation (Section III-G).
-    parallel: bool = False
-    worker_count: int = 4
-    #: Layout-scan execution backend: ``"thread"`` chunks candidates
-    #: across a thread pool in-process; ``"process"`` runs the
-    #: crash-isolated sharded scan on a :mod:`repro.work` supervised
-    #: pool.  Both produce bit-identical hotspot sets.
-    backend: str = "thread"
 
     def __post_init__(self) -> None:
         if self.shift_amount < 0:
             raise ConfigError("shift_amount must be non-negative")
-        if self.worker_count < 1:
-            raise ConfigError("worker_count must be >= 1")
-        if self.backend not in ("thread", "process"):
-            raise ConfigError(
-                f"backend must be 'thread' or 'process', got {self.backend!r}"
-            )
         if self.removal.reframe_separation >= self.spec.core_side:
             raise ConfigError(
                 "reframe_separation must be smaller than the core side "

@@ -24,14 +24,12 @@ Typical use::
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import DetectorConfig
-from repro.core.extraction import ExtractionReport, extract_for_detector
 from repro.obs import get_logger, trace
 from repro.core.feedback import FeedbackKernel, train_feedback_kernel
 from repro.core.metrics import DetectionScore, score_reports
@@ -41,6 +39,9 @@ from repro.data.synth import TestingLayout
 from repro.errors import NotFittedError, ReproError
 from repro.layout.clip import Clip, ClipLabel, ClipSet
 from repro.layout.layout import Layout
+
+if TYPE_CHECKING:  # repro.work imports repro.core
+    from repro.work.shard import ScanResult
 
 
 @dataclass
@@ -63,7 +64,8 @@ class DetectionReport:
     """Everything one ``detect`` call produced."""
 
     reports: list[Clip]
-    extraction: ExtractionReport
+    #: The scan itself: candidates, funnel counts, margins, shard counters.
+    extraction: ScanResult
     flagged_before_feedback: int
     flagged_after_feedback: int
     eval_seconds: float
@@ -72,9 +74,10 @@ class DetectionReport:
     quarantined: int = 0
     #: The feedback kernel errored and was bypassed for this run.
     feedback_degraded: bool = False
-    #: Execution backend used ("thread" or "process").
-    backend: str = "thread"
-    #: Process-backend supervision counters (zero on the thread path).
+    #: Who evaluated the shards: "serial" (the calling process),
+    #: "process" (a supervised pool) or "fleet".
+    backend: str = "serial"
+    #: Pool supervision counters (zero unless ``backend == "process"``).
     worker_restarts: int = 0
     poison_tasks: int = 0
     shards_total: int = 0
@@ -279,11 +282,13 @@ class HotspotDetector:
         candidate clips are recorded there and skipped instead of failing
         the whole evaluation.
 
-        ``work`` is an optional :class:`repro.work.ScanOptions`; passing
-        one (or configuring ``backend="process"``) runs extraction and
-        margin evaluation as a crash-isolated, journaled sharded scan on
-        a :class:`repro.work.SupervisedPool` — same hotspot set, but a
-        worker crash, hang or poison clip no longer kills the run.
+        Every scan runs through :func:`repro.work.shard.run_sharded_scan`.
+        ``work`` is an optional :class:`repro.work.ScanOptions`; the
+        default, ``ScanOptions(workers=0)``, evaluates the shards in this
+        process.  ``workers >= 1`` runs them on a crash-isolated
+        :class:`repro.work.SupervisedPool` — same hotspot set, but a
+        worker crash, hang or poison clip no longer kills the run.  A
+        ``journal_dir`` makes either kind resumable.
 
         ``scan`` is an optional precomputed
         :class:`~repro.work.ScanResult` (e.g. from a
@@ -292,61 +297,25 @@ class HotspotDetector:
         this exact code path, so a distributed scan's report is
         bit-identical to a local one.
         """
-        model = self._require_model()
+        self._require_model()
         threshold = (
             self.config.decision_threshold if threshold is None else threshold
         )
-        if scan is not None:
-            backend = "fleet"
-        elif work is not None or self.config.backend == "process":
-            backend = "process"
-        else:
-            backend = "thread"
         started = time.perf_counter()
         cache_before = self._cache_snapshot()
         with trace("detector.detect", layer=layer, threshold=threshold) as span:
-            if backend in ("process", "fleet"):
-                if scan is None:
-                    from repro.work.shard import ScanOptions, run_sharded_scan
+            if scan is None:
+                from repro.work.shard import ScanOptions, run_sharded_scan
 
-                    options = (
-                        work
-                        if work is not None
-                        else ScanOptions(workers=self.config.worker_count)
-                    )
-                    scan = run_sharded_scan(
-                        self, layout, layer=layer, quarantine=quarantine,
-                        options=options,
-                    )
-                extraction = ExtractionReport(
-                    clips=scan.clips,
-                    anchor_count=scan.anchor_count,
-                    rejected_density=scan.rejected_density,
-                    rejected_count=scan.rejected_count,
-                    rejected_boundary=scan.rejected_boundary,
-                    quarantined=scan.quarantined,
+                options = work if work is not None else ScanOptions(workers=0)
+                backend = "process" if options.workers else "serial"
+                scan = run_sharded_scan(
+                    self, layout, layer=layer, quarantine=quarantine, options=options
                 )
-                candidates = scan.clips
-                margins = scan.margins
             else:
-                extraction = extract_for_detector(
-                    layout, self.config, layer, quarantine=quarantine
-                )
-                candidates = extraction.clips
-
-                with trace("detect.margins", candidates=len(candidates)):
-                    if self.config.parallel and len(candidates) > 64:
-                        chunk = (len(candidates) + self.config.worker_count - 1) // self.config.worker_count
-                        parts = [
-                            candidates[i : i + chunk]
-                            for i in range(0, len(candidates), chunk)
-                        ]
-                        with ThreadPoolExecutor(max_workers=self.config.worker_count) as pool:
-                            margin_parts = list(pool.map(model.margins, parts))
-                        margins = np.concatenate(margin_parts) if margin_parts else np.zeros(0)
-                    else:
-                        margins = model.margins(candidates)
-            flags = margins >= threshold
+                backend = "fleet"
+            candidates = scan.clips
+            flags = scan.margins >= threshold
             flagged = [clip for clip, f in zip(candidates, flags) if f]
             before_feedback = len(flagged)
 
@@ -375,33 +344,32 @@ class HotspotDetector:
                 flagged_before_feedback=before_feedback,
                 flagged_after_feedback=after_feedback,
                 reports=len(reports),
-                quarantined=extraction.quarantined,
+                quarantined=scan.quarantined,
                 feedback_degraded=feedback_degraded,
                 backend=backend,
             )
-        if extraction.quarantined:
-            self._increment("quarantined_inputs_total", extraction.quarantined)
-        if scan is not None:
-            self._increment("worker_restarts_total", scan.stats.worker_restarts)
-            self._increment("poison_tasks_total", scan.stats.poison_tasks)
-            self._increment("shards_resumed", scan.shards_resumed)
-            if scan.shards_reused:
-                self._increment("shards_reused_total", scan.shards_reused)
+        if scan.quarantined:
+            self._increment("quarantined_inputs_total", scan.quarantined)
+        self._increment("worker_restarts_total", scan.stats.worker_restarts)
+        self._increment("poison_tasks_total", scan.stats.poison_tasks)
+        self._increment("shards_resumed", scan.shards_resumed)
+        if scan.shards_reused:
+            self._increment("shards_reused_total", scan.shards_reused)
         self._observe("detector_detect_seconds", time.perf_counter() - started)
         return DetectionReport(
             reports=reports,
-            extraction=extraction,
+            extraction=scan,
             flagged_before_feedback=before_feedback,
             flagged_after_feedback=after_feedback,
             eval_seconds=time.perf_counter() - started,
-            quarantined=extraction.quarantined,
+            quarantined=scan.quarantined,
             feedback_degraded=feedback_degraded,
             backend=backend,
-            worker_restarts=scan.stats.worker_restarts if scan else 0,
-            poison_tasks=scan.stats.poison_tasks if scan else 0,
-            shards_total=scan.shards_total if scan else 0,
-            shards_resumed=scan.shards_resumed if scan else 0,
-            shards_reused=scan.shards_reused if scan else 0,
+            worker_restarts=scan.stats.worker_restarts,
+            poison_tasks=scan.stats.poison_tasks,
+            shards_total=scan.shards_total,
+            shards_resumed=scan.shards_resumed,
+            shards_reused=scan.shards_reused,
             cache_stats=self._cache_delta(cache_before),
         )
 

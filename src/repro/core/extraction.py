@@ -16,17 +16,14 @@ The window-sliding baseline of Table V lives in
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.core.config import DetectorConfig, ExtractionConfig
+from repro.core.config import ExtractionConfig
 from repro.errors import ReproError
 from repro.geometry.dissect import cut_to_max_size
 from repro.geometry.rect import Rect, bounding_box
 from repro.layout.clip import Clip, ClipSpec
 from repro.layout.layout import Layout
-from repro.obs import trace
 from repro.resilience import faults
 
 
@@ -37,8 +34,9 @@ class ExtractionReport:
     The funnel counts are part of the determinism contract: the sharded
     scan journals them per shard and sums them on incremental reuse, and
     the differential harness (``tests/test_differential.py``) asserts
-    they match the uncached single-pass scan exactly — so they must not
-    depend on thread scheduling or work partitioning.
+    they match the uncached scan exactly — so they must not depend on
+    work partitioning.  :class:`repro.work.ScanResult` extends this
+    report with the scan's margins and shard counters.
     """
 
     clips: list[Clip]
@@ -80,35 +78,17 @@ def _meets_distribution(
 
 
 def candidate_anchors(
-    layout: Layout,
-    spec: ClipSpec,
-    layer: int = 1,
-    region: Optional[Rect] = None,
-    within: Optional[Rect] = None,
+    layout: Layout, spec: ClipSpec, layer: int = 1
 ) -> list[tuple[int, int]]:
     """Deduplicated, sorted candidate anchor positions of a layer.
 
-    ``region`` restricts which source rectangles are considered (any
-    rectangle overlapping it); ``within`` additionally keeps only the
-    anchors falling inside the **half-open** window
-    ``[x0, x1) x [y0, y1)``.  Because rectangle cutting is per-rectangle
-    deterministic, regions tiling a layout with half-open ``within``
-    windows partition the global anchor set exactly — the property the
-    sharded process scan (:mod:`repro.work`) relies on for bit-identical
-    results.
+    Rectangle cutting is per-rectangle deterministic, so bucketing these
+    anchors into half-open grid cells partitions the global anchor set
+    exactly — the property the sharded scan (:mod:`repro.work`) relies
+    on for results that do not depend on the shard grid.
     """
-    rects = layout.layer(layer).rects
-    if region is not None:
-        rects = [r for r in rects if r.overlaps(region)]
-    pieces = cut_to_max_size(rects, spec.core_side)
-    anchors = sorted({(piece.x0, piece.y0) for piece in pieces})
-    if within is not None:
-        anchors = [
-            (x, y)
-            for x, y in anchors
-            if within.x0 <= x < within.x1 and within.y0 <= y < within.y1
-        ]
-    return anchors
+    pieces = cut_to_max_size(layout.layer(layer).rects, spec.core_side)
+    return sorted({(piece.x0, piece.y0) for piece in pieces})
 
 
 def extract_candidate_clips(
@@ -116,61 +96,20 @@ def extract_candidate_clips(
     spec: ClipSpec,
     config: ExtractionConfig = ExtractionConfig(),
     layer: int = 1,
-    region: Optional[Rect] = None,
-    parallel_workers: int = 1,
     quarantine=None,
 ) -> ExtractionReport:
     """Extract every candidate clip of a layout layer.
 
-    ``region`` restricts extraction to a window (used to chunk large
-    layouts across workers, Section III-G).  Cores are deduplicated by
-    anchor position, so overlapping source rectangles do not multiply
-    candidates.
+    Cores are deduplicated by anchor position, so overlapping source
+    rectangles do not multiply candidates.
 
     ``quarantine`` is an optional
     :class:`~repro.resilience.quarantine.QuarantineReport`: an anchor
     whose clip raises a :class:`~repro.errors.ReproError` is recorded
     there and skipped instead of aborting the whole extraction.
     """
-    with trace("detect.extract", layer=layer, workers=parallel_workers) as span:
-        anchors = candidate_anchors(layout, spec, layer, region=region)
-        span.set(anchors=len(anchors))
-
-        if parallel_workers > 1 and len(anchors) > 64:
-            chunk = (len(anchors) + parallel_workers - 1) // parallel_workers
-            parts = [
-                anchors[i : i + chunk] for i in range(0, len(anchors), chunk)
-            ]
-            with ThreadPoolExecutor(max_workers=parallel_workers) as pool:
-                reports = list(
-                    pool.map(
-                        lambda part: extract_from_anchors(
-                            layout, spec, config, layer, part, quarantine
-                        ),
-                        parts,
-                    )
-                )
-            merged = ExtractionReport(clips=[], anchor_count=len(anchors))
-            for report in reports:
-                merged.clips.extend(report.clips)
-                merged.rejected_density += report.rejected_density
-                merged.rejected_count += report.rejected_count
-                merged.rejected_boundary += report.rejected_boundary
-                merged.quarantined += report.quarantined
-            report = merged
-        else:
-            report = extract_from_anchors(
-                layout, spec, config, layer, anchors, quarantine
-            )
-            report.anchor_count = len(anchors)
-        span.set(
-            candidates=len(report.clips),
-            rejected_density=report.rejected_density,
-            rejected_count=report.rejected_count,
-            rejected_boundary=report.rejected_boundary,
-            quarantined=report.quarantined,
-        )
-        return report
+    anchors = candidate_anchors(layout, spec, layer)
+    return extract_from_anchors(layout, spec, config, layer, anchors, quarantine)
 
 
 def extract_from_anchors(
@@ -183,8 +122,8 @@ def extract_from_anchors(
 ) -> ExtractionReport:
     """Cut and validate the clips of an explicit anchor list.
 
-    The building block both the thread path (chunks of the global anchor
-    list) and the :mod:`repro.work` process shards are assembled from.
+    Clips come back in anchor order.  Every layout scan runs this once
+    per shard (:func:`repro.work.shard.evaluate_shard`).
     """
     report = ExtractionReport(clips=[], anchor_count=len(anchors))
     inject_per_anchor = faults.get() is not None
@@ -220,17 +159,3 @@ def extract_from_anchors(
             report.rejected_boundary += 1
     return report
 
-
-def extract_for_detector(
-    layout: Layout, config: DetectorConfig, layer: int = 1, quarantine=None
-) -> ExtractionReport:
-    """Candidate extraction using a detector's configuration."""
-    workers = config.worker_count if config.parallel else 1
-    return extract_candidate_clips(
-        layout,
-        config.spec,
-        config.extraction,
-        layer,
-        parallel_workers=workers,
-        quarantine=quarantine,
-    )

@@ -230,7 +230,7 @@ def load_detector(
 ) -> HotspotDetector:
     """Load a detector saved by :func:`save_detector`.
 
-    ``config`` overrides runtime knobs (threshold, parallelism); the
+    ``config`` overrides runtime knobs (e.g. the threshold); the
     persisted feature configuration and kernels always win for anything
     affecting the model's numerical behaviour.
     """

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.detector import HotspotDetector
-from repro.core.extraction import extract_for_detector
+from repro.core.extraction import extract_candidate_clips
 from repro.core.metrics import DetectionScore, score_reports
 from repro.core.removal import remove_redundant_clips
 from repro.data.synth import TestingLayout
@@ -48,7 +48,10 @@ def sweep_thresholds(
     """Score the detector at each threshold; margins computed once."""
     if detector.model_ is None:
         raise NotFittedError("sweep_thresholds needs a fitted detector")
-    extraction = extract_for_detector(testing.layout, detector.config, layer)
+    config = detector.config
+    extraction = extract_candidate_clips(
+        testing.layout, config.spec, config.extraction, layer
+    )
     margins = detector.margins(extraction.clips)
     truth = testing.hotspot_cores()
 

@@ -3,14 +3,13 @@
 One C-SVM kernel is trained per hotspot cluster, against the downsampled
 nonhotspot centroid set.  Each kernel owns the feature schema of its
 cluster, so it concentrates on the critical features specific to that
-topology.  Kernels are independent, so training parallelises trivially
-(Section III-G).
+topology.  Kernels are independent; the paper trains them on threads
+(Section III-G), but under the GIL threads measured slower than this
+serial loop, so kernels train one after another.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -378,63 +377,15 @@ def train_multi_kernel(
         done = checkpoint.begin(fingerprint, len(jobs), resume=resume)
     pending = [(index, members) for index, members in jobs if index not in done]
 
-    save_lock = threading.Lock()
-
-    def _finish(index: int, kernel: TrainedKernel) -> None:
-        done[index] = kernel
-        if checkpoint is not None:
-            with save_lock:
-                checkpoint.save_kernel(index, kernel)
-
-    with trace(
-        "train.kernels",
-        kernels=len(jobs),
-        resumed=len(done),
-        parallel=config.parallel,
-    ):
-        if config.parallel and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-                futures = {
-                    pool.submit(
-                        _train_one_kernel,
-                        index,
-                        members,
-                        centroids,
-                        extractor,
-                        config.svm,
-                        config.use_topology,
-                    ): index
-                    for index, members in pending
-                }
-                remaining = set(futures)
-                while remaining:
-                    finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    # Checkpoint every converged kernel before surfacing
-                    # any failure, so the failure itself is resumable.
-                    errors = []
-                    for future in finished:
-                        try:
-                            kernel = future.result()
-                        except Exception as exc:  # noqa: BLE001 — re-raised below
-                            errors.append(exc)
-                        else:
-                            _finish(futures[future], kernel)
-                    if errors:
-                        for future in remaining:
-                            future.cancel()
-                        raise errors[0]
-                    if deadline is not None and remaining and deadline.expired():
-                        for future in remaining:
-                            future.cancel()
-                        deadline.check("train.kernels")
-        else:
-            for index, members in pending:
-                if deadline is not None:
-                    deadline.check("train.kernels")
-                kernel = _train_one_kernel(
-                    index, members, centroids, extractor, config.svm, config.use_topology
-                )
-                _finish(index, kernel)
+    with trace("train.kernels", kernels=len(jobs), resumed=len(done)):
+        for index, members in pending:
+            if deadline is not None:
+                deadline.check("train.kernels")
+            done[index] = _train_one_kernel(
+                index, members, centroids, extractor, config.svm, config.use_topology
+            )
+            if checkpoint is not None:
+                checkpoint.save_kernel(index, done[index])
     kernels = [done[index] for index, _ in jobs]
     return MultiKernelModel(
         kernels=kernels,

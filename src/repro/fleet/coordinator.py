@@ -1,8 +1,7 @@
 """The scan coordinator: leases shards to workers, merges their pushes.
 
-The coordinator partitions a layout scan exactly as the single-node
-process backend does (:func:`repro.work.shard.shard_cells` over the same
-grid), journals completed shards in the same
+The coordinator partitions a layout scan exactly as a local scan does
+(:func:`repro.work.shard.shard_cells` over the same grid), journals completed shards in the same
 :class:`~repro.work.shard.ScanJournal` format, and merges results with
 the same :func:`~repro.work.shard._merge_shards` — which is what makes a
 fleet scan bit-identical to a local one and lets ``--resume`` /
@@ -879,7 +878,7 @@ class FleetCoordinator:
         """Merge completed shards into the global candidate order.
 
         Exactly :func:`~repro.work.shard._merge_shards` — the same code
-        path the single-node process backend uses, so a fleet scan's
+        path every local scan uses, so a fleet scan's
         hotspot set, margins and funnel counts are bit-identical to a
         local scan of the same layout.  Raises
         :class:`~repro.errors.ScanDrainedError` while shards are still

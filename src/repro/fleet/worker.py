@@ -9,9 +9,9 @@ margins computed under different state.
 
 Per lease, a background heartbeat thread extends the lease at TTL/3
 while the main thread evaluates the shard with
-:func:`~repro.work.shard.evaluate_shard` — the exact single-node code
-path, minus the clips (the coordinator re-cuts them at merge, so the
-result is bit-identical).  A heartbeat answered with ``lost`` makes the
+:func:`~repro.work.shard.evaluate_shard` — the one shard evaluator
+every local scan runs too; the clips stay behind (the coordinator
+re-cuts them at merge, so the result is bit-identical).  A heartbeat answered with ``lost`` makes the
 evaluation's push come back ``stale``; both are normal outcomes of
 lease reassignment and the worker just asks for the next shard.
 

@@ -46,18 +46,12 @@ def training_fingerprint(training, config) -> str:
     """Hash of everything that must match for checkpoints to be reusable.
 
     Covers the training set's geometry (via the observability
-    fingerprint) and the detector configuration, minus execution-only
-    knobs (``parallel``/``worker_count``/``backend`` — the same kernels
-    fall out either way, so toggling parallelism must not invalidate a
-    resume).
+    fingerprint) and the detector configuration.
     """
     from repro.obs import config_summary, fingerprint_clipset
 
-    summary = config_summary(config)
-    for volatile in ("parallel", "worker_count", "backend"):
-        summary.pop(volatile, None)
     blob = json.dumps(
-        {"clips": fingerprint_clipset(training), "config": summary},
+        {"clips": fingerprint_clipset(training), "config": config_summary(config)},
         sort_keys=True,
         default=str,
     )

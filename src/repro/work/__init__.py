@@ -1,4 +1,4 @@
-"""repro.work — crash-isolated supervised execution for layout scans.
+"""repro.work — the layout scan driver and its crash-isolated worker pool.
 
 Two layers:
 
@@ -6,13 +6,15 @@ Two layers:
   ``multiprocessing`` worker pool with heartbeats, hung-task kill,
   crash retry, poison-task bisection, worker recycling and graceful
   drain;
-- :mod:`repro.work.shard` — the sharded scan driver that runs a
-  layout's candidate anchors on the pool and journals completed shards
-  for ``repro scan --resume``.
+- :mod:`repro.work.shard` — the scan driver behind every
+  ``HotspotDetector.detect``: it buckets a layout's candidate anchors
+  into shards, evaluates each with :func:`~repro.work.shard.evaluate_shard`
+  in the calling process or on the pool, and journals completed shards
+  for ``repro scan --resume`` / ``--incremental``.
 
-Select it per scan via ``HotspotDetector.detect(..., work=ScanOptions(...))``,
-per config via ``DetectorConfig(backend="process")``, or from the CLI
-with ``repro scan --backend process --workers N``.
+``detect`` evaluates the shards in-process by default; pass
+``work=ScanOptions(workers=N)`` (``repro scan --workers N`` on the CLI)
+to run them on N supervised worker processes.
 """
 
 from repro.work.pool import PoolConfig, PoolStats, PoolTask, SupervisedPool
@@ -25,7 +27,6 @@ from repro.work.shard import (
     evaluate_shard,
     run_sharded_scan,
     scan_fingerprint,
-    shard_anchors,
     shard_cells,
 )
 
@@ -42,6 +43,5 @@ __all__ = [
     "evaluate_shard",
     "run_sharded_scan",
     "scan_fingerprint",
-    "shard_anchors",
     "shard_cells",
 ]

@@ -1,8 +1,7 @@
 """Crash-isolated supervised process pool.
 
-Every parallel path of the pipeline used to be a ``ThreadPoolExecutor``
-inside one process: a native crash, OOM kill or hang on a single
-pathological clip took the whole multi-hour scan down with it.
+In one process, a native crash, OOM kill or hang on a single
+pathological clip takes a whole multi-hour scan down with it.
 :class:`SupervisedPool` runs tasks in ``multiprocessing`` workers under
 an actively supervising parent instead:
 

@@ -1,18 +1,23 @@
-"""Journaled, resumable sharded layout scans on a supervised pool.
+"""The layout scan driver: journaled, resumable, sharded.
 
-The scan driver splits a layout's candidate anchors into region shards
-(a grid of ``shard_side`` cells over the layer bounding box), runs one
-task per shard on a :class:`~repro.work.pool.SupervisedPool`, and
-appends every completed shard to an on-disk **journal** so an
-interrupted run — crash, OOM kill, SIGTERM drain — resumes from the
-completed shards instead of restarting a multi-hour scan from zero.
+Every local scan runs here.  The driver splits a layout's candidate
+anchors into region shards (a grid of ``shard_side`` cells over the
+layer bounding box) and evaluates each shard with
+:func:`evaluate_shard` — in the calling process, in shard order
+(``ScanOptions(workers=0)``, what ``HotspotDetector.detect`` does by
+default), or as one task per shard on a
+:class:`~repro.work.pool.SupervisedPool` (``workers >= 1``).  With a
+journal directory, every completed shard is appended to an on-disk
+**journal**, so an interrupted run — crash, OOM kill, SIGTERM drain —
+resumes from the completed shards instead of restarting a multi-hour
+scan from zero.
 
 Bit-identical by construction: anchors are bucketed into half-open
-shard windows (each anchor belongs to exactly one shard), workers cut
-clips from the *full* layout (shard membership never changes a clip's
-content), and the merged candidates are re-sorted into the global
-anchor order the thread backend produces — so thread and process
-backends, faulted + resumed or not, yield the same hotspot set.
+shard windows (each anchor belongs to exactly one shard), every shard
+cuts its clips from the *full* layout (shard membership never changes a
+clip's content), margins are row-independent, and the merged
+candidates are re-sorted into global anchor order — so serial, pool and
+fleet scans, faulted + resumed or not, yield the same hotspot set.
 
 Journal layout (``<layout>.scanjournal/`` by default)::
 
@@ -24,7 +29,7 @@ Journal layout (``<layout>.scanjournal/`` by default)::
                       written atomically (tmp + os.replace)
 
 The header fingerprint hashes the layer geometry, the detector config
-minus execution/threshold knobs, the trained kernels, the layer and the
+minus the decision threshold, the trained kernels, the layer and the
 shard grid — mirroring ``resilience/checkpoint.py``: a mismatched
 journal is discarded with a warning, never silently mixed.  Margins are
 threshold-independent, so a journaled run may resume under a different
@@ -42,7 +47,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from hashlib import sha256
 from io import BytesIO
 from pathlib import Path
@@ -50,7 +55,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.extraction import candidate_anchors, extract_from_anchors
+from repro.core import extraction
+from repro.core.extraction import ExtractionReport
 from repro.errors import CheckpointError, NotFittedError, ScanDrainedError
 from repro.geometry.rect import Rect
 from repro.layout.clip import Clip
@@ -78,8 +84,11 @@ _log = get_logger("work.shard")
 # ----------------------------------------------------------------------
 @dataclass
 class ScanOptions:
-    """Execution knobs of one sharded process scan."""
+    """Execution knobs of one sharded scan."""
 
+    #: Supervised worker processes; ``0`` evaluates the shards in the
+    #: calling process, in shard order, with the detector's own model
+    #: and cache.
     workers: int = 2
     #: Shard cell edge in DBU (default ``DEFAULT_SHARD_CLIPS * clip_side``).
     shard_side: Optional[int] = None
@@ -101,25 +110,22 @@ class ScanOptions:
     #: the state the next incremental run diffs against).
     incremental: bool = False
     #: Directory of an on-disk :class:`repro.cache.HotspotCache` tier.
-    #: Workers open it read/write, so a warm cache accelerates even
+    #: Pool workers open it read/write, so a warm cache accelerates even
     #: freshly-scanned shards; defaults to the detector cache's directory.
+    #: An in-process scan uses the detector's attached cache instead.
     cache_dir: Optional[Union[str, Path]] = None
 
 
 @dataclass
-class ScanResult:
-    """Merged output of a sharded scan, in global anchor order."""
+class ScanResult(ExtractionReport):
+    """Merged output of a scan: the candidates and funnel counts, in
+    global anchor order, plus each candidate's margin and the shard and
+    pool counters."""
 
-    clips: list[Clip]
-    margins: np.ndarray
-    anchor_count: int
-    rejected_density: int
-    rejected_count: int
-    rejected_boundary: int
-    quarantined: int
-    stats: PoolStats
-    shards_total: int
-    shards_resumed: int
+    margins: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    stats: PoolStats = field(default_factory=PoolStats)
+    shards_total: int = 0
+    shards_resumed: int = 0
     #: Shards reused by geometry-hash match from a previous run's journal
     #: (incremental mode); disjoint from ``shards_resumed``.
     shards_reused: int = 0
@@ -167,17 +173,14 @@ def scan_base_fingerprint(layer: int, config, model, shard_side: int) -> str:
 
     Incremental scans compare this across runs: the *layout* is expected
     to differ (that is the point), but the config, model, layer and shard
-    grid must match for any per-shard reuse to be sound.  Mirrors
-    :func:`repro.resilience.checkpoint.training_fingerprint`: execution
-    knobs (``parallel``/``worker_count``/``backend``) and the decision
-    threshold are excluded — margins are computed before thresholding, so
-    a resume may change them freely.
+    grid must match for any per-shard reuse to be sound.  The decision
+    threshold is excluded — margins are computed before thresholding, so
+    a resume may change it freely.
     """
     from repro.obs import config_summary
 
     summary = config_summary(config)
-    for volatile in ("parallel", "worker_count", "backend", "decision_threshold"):
-        summary.pop(volatile, None)
+    summary.pop("decision_threshold", None)
     blob = json.dumps(
         {
             "version": SCAN_JOURNAL_VERSION,
@@ -301,30 +304,50 @@ def decode_shard_record(raw: bytes, shard_id: int) -> _ShardRecord:
 
 
 def evaluate_shard(config, model, layout, layer: int, anchors) -> _ShardRecord:
-    """Evaluate one shard's anchor list in-process; the fleet worker path.
+    """Extract and score one anchor list: the scan's only shard evaluator.
 
-    Produces the record :func:`run_sharded_scan` would journal for the
-    same shard (anchors re-sorted into anchor order, funnel counts,
-    quarantine dump) minus the clips — the merge side re-cuts candidates
-    from the full layout, deterministically, exactly as it does for
-    journal-resumed shards, which keeps 1-node and N-node scans
-    bit-identical.  The caller stamps ``shard_id``/``cell``/
-    ``geometry_sha`` from the lease.
+    The in-process scan, the pool task (:func:`_scan_shard_task`) and the
+    fleet worker all call it.  Candidates come back in the order of
+    ``anchors`` with their margins, funnel counts and quarantine dump;
+    the caller stamps ``shard_id``/``cell``/``geometry_sha``.  The fleet
+    ships the record without its clips, and the merge re-cuts them from
+    the full layout, deterministically, exactly as it does for
+    journal-resumed shards.
     """
     started = time.perf_counter()
-    state = _WorkerState(config=config, model=model, layout=layout, layer=layer)
-    part = _scan_shard_task(state, (0, [(int(x), int(y)) for x, y in anchors]))
-    merged = sorted(zip(part["anchors"], part["margins"]), key=lambda item: item[0])
+    quarantine = QuarantineReport()
+    with trace("detect.extract", layer=layer, anchors=len(anchors)) as span:
+        report = extraction.extract_from_anchors(
+            layout,
+            config.spec,
+            config.extraction,
+            layer,
+            [(int(x), int(y)) for x, y in anchors],
+            quarantine,
+        )
+        span.set(
+            candidates=len(report.clips),
+            rejected_density=report.rejected_density,
+            rejected_count=report.rejected_count,
+            rejected_boundary=report.rejected_boundary,
+            quarantined=report.quarantined,
+        )
+    with trace("detect.margins", candidates=len(report.clips)):
+        margins = (
+            np.asarray(model.margins(report.clips), dtype=float)
+            if report.clips
+            else np.zeros(0)
+        )
     return _ShardRecord(
         shard_id=-1,
-        anchors=[anchor for anchor, _ in merged],
-        margins=np.asarray([margin for _, margin in merged], dtype=float),
-        anchor_count=part["anchor_count"],
-        rejected_density=part["rejected_density"],
-        rejected_count=part["rejected_count"],
-        rejected_boundary=part["rejected_boundary"],
-        quarantine=part["quarantine"].to_dict(),
-        clips=None,
+        anchors=[(clip.core.x0, clip.core.y0) for clip in report.clips],
+        margins=margins,
+        anchor_count=report.anchor_count,
+        rejected_density=report.rejected_density,
+        rejected_count=report.rejected_count,
+        rejected_boundary=report.rejected_boundary,
+        quarantine=quarantine.to_dict(),
+        clips=report.clips,
         wall_s=time.perf_counter() - started,
     )
 
@@ -596,34 +619,10 @@ def _scan_worker_init(config, model, layout, layer, cache_dir=None) -> _WorkerSt
     return _WorkerState(config=config, model=model, layout=layout, layer=layer)
 
 
-def _scan_shard_task(state: _WorkerState, payload) -> dict:
-    """Extract + evaluate the clips of one shard's anchor list."""
-    _, anchor_list = payload
-    anchors = [(int(x), int(y)) for x, y in anchor_list]
-    quarantine = QuarantineReport()
-    report = extract_from_anchors(
-        state.layout,
-        state.config.spec,
-        state.config.extraction,
-        state.layer,
-        anchors,
-        quarantine,
-    )
-    margins = (
-        np.asarray(state.model.margins(report.clips), dtype=float)
-        if report.clips
-        else np.zeros(0)
-    )
-    return {
-        "anchors": [(clip.core.x0, clip.core.y0) for clip in report.clips],
-        "clips": report.clips,
-        "margins": margins,
-        "anchor_count": report.anchor_count,
-        "rejected_density": report.rejected_density,
-        "rejected_count": report.rejected_count,
-        "rejected_boundary": report.rejected_boundary,
-        "quarantine": quarantine,
-    }
+def _scan_shard_task(state: _WorkerState, payload) -> _ShardRecord:
+    """Pool task: evaluate one (possibly bisected) shard's anchor list."""
+    _, anchors = payload
+    return evaluate_shard(state.config, state.model, state.layout, state.layer, anchors)
 
 
 # ----------------------------------------------------------------------
@@ -641,7 +640,7 @@ def shard_cells(
     are dropped; bucket order is the cell's (column, row) order, which is
     deterministic for a given layout + ``shard_side``.
     """
-    anchors = candidate_anchors(layout, spec, layer)
+    anchors = extraction.candidate_anchors(layout, spec, layer)
     if not anchors:
         return []
     box = layout.bbox(layer)
@@ -658,13 +657,6 @@ def shard_cells(
     ]
 
 
-def shard_anchors(
-    layout, spec, layer: int, shard_side: int
-) -> list[list[tuple[int, int]]]:
-    """The anchor buckets of :func:`shard_cells`, without cell origins."""
-    return [anchors for _, anchors in shard_cells(layout, spec, layer, shard_side)]
-
-
 def run_sharded_scan(
     detector,
     layout,
@@ -672,12 +664,14 @@ def run_sharded_scan(
     quarantine: Optional[QuarantineReport] = None,
     options: Optional[ScanOptions] = None,
 ) -> ScanResult:
-    """Scan a layout in supervised worker processes; see module docs.
+    """Scan a layout shard by shard; see module docs.
 
-    Returns the merged candidates + margins in the thread backend's
-    global anchor order.  Raises
+    Returns the merged candidates + margins in global anchor order.  An
+    in-process scan (``options.workers == 0``) reads the detector's
+    model and cache and writes no detector state, so concurrent calls on
+    one detector are safe.  Raises
     :class:`~repro.errors.ScanDrainedError` when ``options.stop_event``
-    drains the pool before every shard completed (finished shards stay
+    drains the scan before every shard completed (finished shards stay
     journaled for ``resume``).
     """
     options = options or ScanOptions()
@@ -688,11 +682,6 @@ def run_sharded_scan(
     shard_side = options.shard_side or config.spec.clip_side * DEFAULT_SHARD_CLIPS
     if options.incremental and options.journal_dir is None:
         raise CheckpointError("incremental scans require a journal directory")
-    cache_dir = options.cache_dir
-    if cache_dir is None:
-        detector_cache = getattr(detector, "cache_", None)
-        if detector_cache is not None:
-            cache_dir = getattr(detector_cache, "directory", None)
 
     with trace("work.scan", layer=layer, workers=options.workers) as span:
         cells = shard_cells(layout, config.spec, layer, shard_side)
@@ -744,9 +733,8 @@ def run_sharded_scan(
                     )
 
         completed: dict[int, _ShardRecord] = dict(resumed)
-        parts: dict[int, list[dict]] = {}
+        parts: dict[int, list[_ShardRecord]] = {}
         pending: dict[int, int] = {}
-        shard_wall: dict[int, float] = {}
         poison_entries: dict[int, QuarantineReport] = {}
         tasks: list[PoolTask] = []
         for shard_id, anchors in enumerate(shards):
@@ -754,7 +742,6 @@ def run_sharded_scan(
                 continue
             pending[shard_id] = 1
             parts[shard_id] = []
-            shard_wall[shard_id] = 0.0
             tasks.append(
                 PoolTask(
                     task_id=f"shard-{shard_id:04d}",
@@ -771,48 +758,45 @@ def run_sharded_scan(
             # the CI chaos job produces a journal to resume.
             faults.inject("work.shard", shard=shard_id)
             shard_parts = parts.pop(shard_id)
+            # A bisected shard completes in several parts, in any order.
             merged = sorted(
                 (
                     (anchor, clip, margin)
                     for part in shard_parts
                     for anchor, clip, margin in zip(
-                        part["anchors"], part["clips"], part["margins"]
+                        part.anchors, part.clips, part.margins
                     )
                 ),
                 key=lambda item: item[0],
             )
             shard_quarantine = QuarantineReport()
+            for part in shard_parts:
+                shard_quarantine.merge(QuarantineReport.from_dict(part.quarantine))
+            poison = poison_entries.pop(shard_id, None)
+            if poison is not None:
+                shard_quarantine.merge(poison)
             record = _ShardRecord(
                 shard_id=shard_id,
                 anchors=[item[0] for item in merged],
                 margins=np.asarray([item[2] for item in merged], dtype=float),
-                anchor_count=0,
+                anchor_count=sum(part.anchor_count for part in shard_parts),
+                rejected_density=sum(part.rejected_density for part in shard_parts),
+                rejected_count=sum(part.rejected_count for part in shard_parts),
+                rejected_boundary=sum(part.rejected_boundary for part in shard_parts),
+                quarantine=shard_quarantine.to_dict(),
                 clips=[item[1] for item in merged],
                 cell=cells[shard_id][0],
-                geometry_sha=(
-                    geometry_hashes[shard_id] if geometry_hashes else ""
-                ),
+                geometry_sha=geometry_hashes[shard_id] if geometry_hashes else "",
+                wall_s=sum(part.wall_s for part in shard_parts),
             )
-            for part in shard_parts:
-                record.anchor_count += part["anchor_count"]
-                record.rejected_density += part["rejected_density"]
-                record.rejected_count += part["rejected_count"]
-                record.rejected_boundary += part["rejected_boundary"]
-                shard_quarantine.merge(part["quarantine"])
-            poison = poison_entries.pop(shard_id, None)
-            if poison is not None:
-                shard_quarantine.merge(poison)
-            record.quarantine = shard_quarantine.to_dict()
-            record.wall_s = shard_wall.pop(shard_id, 0.0)
             completed[shard_id] = record
             if journal is not None:
                 journal.record(record)
             tally("work.shard", record.wall_s)
 
-        def on_result(task: PoolTask, result: dict, info: dict) -> None:
+        def on_result(task: PoolTask, result: _ShardRecord, info=None) -> None:
             shard_id = task.group
             parts[shard_id].append(result)
-            shard_wall[shard_id] += info.get("wall_s", 0.0)
             pending[shard_id] -= 1
             if pending[shard_id] == 0:
                 finalize(shard_id)
@@ -850,14 +834,21 @@ def run_sharded_scan(
                 for side, chunk in enumerate((anchors[:half], anchors[half:]))
             ]
 
-        if tasks:
-            pool_config = options.pool or PoolConfig()
-            if pool_config.workers != options.workers:
-                from dataclasses import replace
-
-                pool_config = replace(pool_config, workers=options.workers)
+        stats = PoolStats()
+        if options.workers == 0:
+            for task in tasks:
+                if options.stop_event is not None and options.stop_event.is_set():
+                    break
+                _, anchors = task.payload
+                on_result(task, evaluate_shard(config, model, layout, layer, anchors))
+        elif tasks:
+            # Every shard may come from the journal (a fully-unchanged
+            # incremental rescan): then there is nothing to fork for.
+            cache_dir = options.cache_dir
+            if cache_dir is None:
+                cache_dir = getattr(detector.cache_, "directory", None)
             pool = SupervisedPool(
-                pool_config,
+                replace(options.pool or PoolConfig(), workers=options.workers),
                 init_fn=_scan_worker_init,
                 init_args=(config, model, layout, layer, cache_dir),
             )
@@ -868,10 +859,6 @@ def run_sharded_scan(
                 on_poison=on_poison,
                 stop_event=options.stop_event,
             )
-        else:
-            # Every shard came from the journal (a fully-unchanged
-            # incremental rescan): nothing to spawn workers for.
-            stats = PoolStats()
         span.set(
             restarts=stats.worker_restarts,
             poison=stats.poison_tasks,

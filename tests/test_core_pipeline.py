@@ -147,26 +147,6 @@ class TestExtraction:
         report = extract_candidate_clips(layout, SPEC, config)
         assert report.rejected_boundary > 0
 
-    def test_region_restriction(self):
-        layout = self.build_layout()
-        layout.add_rect(1, Rect(100000, 100000, 100100, 101000))
-        everywhere = extract_candidate_clips(layout, SPEC, self.OPEN)
-        near = extract_candidate_clips(
-            layout, SPEC, self.OPEN, region=Rect(0, 0, 50000, 50000)
-        )
-        assert near.candidate_count < everywhere.candidate_count
-
-    def test_parallel_matches_serial(self):
-        layout = self.build_layout()
-        # force the parallel path by exceeding the anchor threshold
-        for i in range(80):
-            layout.add_rect(1, Rect(20000 + 70 * i, 20000, 20050 + 70 * i, 21500))
-        serial2 = extract_candidate_clips(layout, SPEC, self.OPEN, parallel_workers=1)
-        parallel = extract_candidate_clips(layout, SPEC, self.OPEN, parallel_workers=4)
-        assert sorted(c.window for c in parallel.clips) == sorted(
-            c.window for c in serial2.clips
-        )
-
 
 def report_clip(x, y, rects=()):
     core = Rect(x, y, x + 1200, y + 1200)

@@ -54,14 +54,6 @@ class TestTraining:
         with pytest.raises(SvmError):
             train_multi_kernel(empty, DetectorConfig.ours())
 
-    def test_parallel_training_equivalent(self, small_benchmark):
-        serial = train_multi_kernel(small_benchmark.training, DetectorConfig.ours())
-        parallel_cfg = DetectorConfig(parallel=True, worker_count=4)
-        parallel = train_multi_kernel(small_benchmark.training, parallel_cfg)
-        assert len(serial.kernels) == len(parallel.kernels)
-        probe = small_benchmark.training.hotspots()[:4]
-        assert np.allclose(serial.margins(probe), parallel.margins(probe))
-
 
 class TestFeedback:
     def test_feedback_trains_on_ambit_benchmark(self, ambit_benchmark):
@@ -230,13 +222,3 @@ class TestDetector:
         detector.fit(small_benchmark.training)
         result = detector.score(small_benchmark.testing)
         assert all(r.label is ClipLabel.HOTSPOT for r in result.reports)
-
-    def test_parallel_evaluation_equivalent(self, small_benchmark):
-        serial = HotspotDetector(DetectorConfig.ours())
-        serial.fit(small_benchmark.training)
-        parallel = HotspotDetector(DetectorConfig(parallel=True, worker_count=4))
-        parallel.fit(small_benchmark.training)
-        a = serial.score(small_benchmark.testing)
-        b = parallel.score(small_benchmark.testing)
-        assert a.score.hits == b.score.hits
-        assert a.score.extras == b.score.extras

@@ -1,8 +1,8 @@
 """Differential harness: caching must never change a single bit.
 
 Every test here runs the same detection twice-or-more under different
-cache states (off / cold / warm / incremental, thread / process
-backends) and asserts the *complete* observable output is identical:
+cache states (off / cold / warm / incremental, in-process / process-pool
+scans) and asserts the *complete* observable output is identical:
 the hotspot report set, the per-clip margins, and the extraction
 funnel counts.  A cache that changes any of these is a correctness
 bug, however fast it is.
@@ -130,45 +130,45 @@ class TestCacheModesBitIdentical:
 class TestIncrementalBitIdentical:
     def test_noop_edit_reuses_everything(self, detached, small_benchmark, tmp_path):
         layout = small_benchmark.testing.layout
-        options = ScanOptions(
-            workers=2,
-            journal_dir=tmp_path / "journal",
-            incremental=True,
-            cache_dir=tmp_path / "cache",
-        )
-        first = detached.detect(layout, work=options)
-        assert first.shards_reused == 0
-        # Same geometry, rebuilt object: every shard hash matches.
-        rebuilt = copy_layout(layout, 1)
-        second = detached.detect(rebuilt, work=options)
-        assert second.shards_total > 0
-        assert second.shards_reused == second.shards_total
-        assert_identical(
-            signature(detached, first), signature(detached, second)
-        )
+        for workers in (0, 2):  # in-process and pool scans
+            options = ScanOptions(
+                workers=workers,
+                journal_dir=tmp_path / f"journal-{workers}",
+                incremental=True,
+                cache_dir=tmp_path / "cache",
+            )
+            first = detached.detect(layout, work=options)
+            assert first.shards_reused == 0
+            # Same geometry, rebuilt object: every shard hash matches.
+            rebuilt = copy_layout(layout, 1)
+            second = detached.detect(rebuilt, work=options)
+            assert second.shards_total > 0
+            assert second.shards_reused == second.shards_total
+            assert_identical(
+                signature(detached, first), signature(detached, second)
+            )
 
     def test_real_edit_recomputes_only_touched_shards(
         self, detached, small_benchmark, tmp_path
     ):
         layout = small_benchmark.testing.layout
-        options = ScanOptions(
-            workers=2,
-            journal_dir=tmp_path / "journal",
-            incremental=True,
-        )
-        detached.detect(layout, work=options)
-
         box = layout.bbox(1)
         edit = Rect(box.x0 + 2000, box.y0 + 2000, box.x0 + 2400, box.y0 + 2600)
         edited = copy_layout(layout, 1, extra=edit)
+        fresh = detached.detect(edited)  # in-process, no journal
+        for workers in (0, 2):  # in-process and pool scans
+            options = ScanOptions(
+                workers=workers,
+                journal_dir=tmp_path / f"journal-{workers}",
+                incremental=True,
+            )
+            detached.detect(layout, work=options)
 
-        incremental = detached.detect(edited, work=options)
-        assert 0 < incremental.shards_reused < incremental.shards_total
-
-        fresh = detached.detect(edited)  # thread backend, no journal
-        assert_identical(
-            signature(detached, fresh), signature(detached, incremental)
-        )
+            incremental = detached.detect(edited, work=options)
+            assert 0 < incremental.shards_reused < incremental.shards_total
+            assert_identical(
+                signature(detached, fresh), signature(detached, incremental)
+            )
 
     def test_incremental_requires_journal_dir(self, detached, small_benchmark):
         from repro.errors import CheckpointError

@@ -238,6 +238,22 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --compute fast" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            ["scan", "--model", "m.npz", "--layout", "l.gds", "--backend", "process"],
+            ["train", "--clips", "c.gds", "--model", "m.npz", "--parallel"],
+        ],
+        ids=["scan-backend", "train-parallel"],
+    )
+    def test_thread_backend_flags_rejected(self, arguments, capsys):
+        """Scans always run through the shard driver and training is
+        serial, so neither execution switch exists."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(arguments)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCliExplain:
     def test_explain_site(self, tmp_path, capsys):

@@ -450,19 +450,32 @@ class TestCorruptInputs:
 
 
 class TestCheckpointResume:
-    def test_fingerprint_ignores_parallelism(self, small_benchmark):
-        from dataclasses import replace
+    def test_training_fingerprint_is_pinned(self):
+        """Kernel checkpoints are keyed by this hash: a change to it
+        silently discards every interrupted training run's progress."""
+        from repro.geometry.rect import Rect
+        from repro.layout.clip import Clip, ClipLabel, ClipSet, ClipSpec
 
-        base = DetectorConfig.ours()
-        fp1 = training_fingerprint(small_benchmark.training, base)
-        fp2 = training_fingerprint(
-            small_benchmark.training, replace(base, parallel=True)
+        spec = ClipSpec()
+        window = Rect(0, 0, spec.clip_side, spec.clip_side)
+        training = ClipSet(spec)
+        training.add(
+            Clip.build(
+                window,
+                spec,
+                [Rect(1200, 1200, 1600, 3600), Rect(2400, 1200, 2800, 3600)],
+                ClipLabel.HOTSPOT,
+            )
         )
-        assert fp1 == fp2
-        other = training_fingerprint(
-            small_benchmark.training, DetectorConfig.basic()
+        training.add(
+            Clip.build(window, spec, [Rect(1200, 1200, 3600, 1600)], ClipLabel.NON_HOTSPOT)
         )
-        assert fp1 != other
+        assert training_fingerprint(training, DetectorConfig.ours()) == (
+            "2c441ee9f0334548a51471e2f97bd618a4eacdaf8cbc7be713d0ff93dd7e037f"
+        )
+        assert training_fingerprint(training, DetectorConfig.basic()) != (
+            training_fingerprint(training, DetectorConfig.ours())
+        )
 
     def test_begin_clears_on_fingerprint_mismatch(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")

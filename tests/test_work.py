@@ -41,7 +41,7 @@ from repro.work import (
     ScanOptions,
     SupervisedPool,
     scan_fingerprint,
-    shard_anchors,
+    shard_cells,
 )
 
 
@@ -305,7 +305,7 @@ def fitted(small_benchmark):
 
 
 @pytest.fixture(scope="module")
-def thread_report(fitted, small_benchmark):
+def serial_report(fitted, small_benchmark):
     return fitted.detect(small_benchmark.testing.layout)
 
 
@@ -317,52 +317,60 @@ class TestShardedScan:
     def test_shards_partition_the_anchor_set(self, fitted, small_benchmark):
         layout = small_benchmark.testing.layout
         spec = fitted.config.spec
-        shards = shard_anchors(layout, spec, 1, spec.clip_side * 2)
-        flattened = [anchor for shard in shards for anchor in shard]
+        cells = shard_cells(layout, spec, 1, spec.clip_side * 2)
+        flattened = [anchor for _, anchors in cells for anchor in anchors]
         assert sorted(flattened) == candidate_anchors(layout, spec, 1)
         assert len(flattened) == len(set(flattened))
 
     def test_process_backend_bit_identical(
-        self, fitted, small_benchmark, thread_report
+        self, fitted, small_benchmark, serial_report
     ):
         result = fitted.detect(
             small_benchmark.testing.layout, work=ScanOptions(workers=3)
         )
         assert result.backend == "process"
         assert result.shards_total >= 2
-        assert _cores(result) == _cores(thread_report)
+        # The default detect() runs the same shard driver in-process.
+        assert serial_report.backend == "serial"
+        assert serial_report.shards_total == result.shards_total
+        assert _cores(result) == _cores(serial_report)
         assert (
             result.extraction.anchor_count
-            == thread_report.extraction.anchor_count
+            == serial_report.extraction.anchor_count
         )
         assert (
             result.extraction.candidate_count
-            == thread_report.extraction.candidate_count
+            == serial_report.extraction.candidate_count
         )
-        assert result.flagged_before_feedback == thread_report.flagged_before_feedback
+        assert result.flagged_before_feedback == serial_report.flagged_before_feedback
 
     def test_journal_resume_after_midrun_abort(
-        self, fitted, small_benchmark, thread_report, tmp_path
+        self, fitted, small_benchmark, serial_report, tmp_path
     ):
         layout = small_benchmark.testing.layout
-        journal_dir = tmp_path / "journal"
-        # Abort the run after the second completed shard (parent-side).
-        with faults.active("work.shard=error:1@1!1"):
-            with pytest.raises(ReproError, match="injected"):
-                fitted.detect(
-                    layout, work=ScanOptions(workers=3, journal_dir=journal_dir)
-                )
-        completed = ScanJournal(journal_dir).completed_ids()
-        assert completed, "aborted run should leave journaled shards"
+        # In-process (0) and pool (3) scans journal the same way.
+        for workers in (0, 3):
+            journal_dir = tmp_path / f"journal-{workers}"
+            # Abort the run after the second completed shard (parent-side).
+            with faults.active("work.shard=error:1@1!1"):
+                with pytest.raises(ReproError, match="injected"):
+                    fitted.detect(
+                        layout,
+                        work=ScanOptions(workers=workers, journal_dir=journal_dir),
+                    )
+            completed = ScanJournal(journal_dir).completed_ids()
+            assert completed, "aborted run should leave journaled shards"
 
-        resumed = fitted.detect(
-            layout,
-            work=ScanOptions(workers=3, journal_dir=journal_dir, resume=True),
-        )
-        assert resumed.shards_resumed == len(completed)
-        assert _cores(resumed) == _cores(thread_report)
-        # The journal clears after success, like training checkpoints.
-        assert ScanJournal(journal_dir).completed_ids() == []
+            resumed = fitted.detect(
+                layout,
+                work=ScanOptions(
+                    workers=workers, journal_dir=journal_dir, resume=True
+                ),
+            )
+            assert resumed.shards_resumed == len(completed)
+            assert _cores(resumed) == _cores(serial_report)
+            # The journal clears after success, like training checkpoints.
+            assert ScanJournal(journal_dir).completed_ids() == []
 
     def test_mismatched_journal_is_discarded(
         self, fitted, small_benchmark, tmp_path
@@ -380,13 +388,13 @@ class TestShardedScan:
         assert result.shards_resumed == 0
 
     def test_poison_anchor_is_quarantined_not_fatal(
-        self, fitted, small_benchmark, thread_report
+        self, fitted, small_benchmark, serial_report
     ):
         layout = small_benchmark.testing.layout
         all_anchors = candidate_anchors(layout, fitted.config.spec, 1)
         candidate_set = {
             (clip.core.x0, clip.core.y0)
-            for clip in thread_report.extraction.clips
+            for clip in serial_report.extraction.clips
         }
         # Poison an anchor whose clip is rejected at the distribution
         # stage, so the surviving candidate set (and hotspot set) is
@@ -406,7 +414,7 @@ class TestShardedScan:
         assert f"[{x}, {y}]" in poison_items[0].context["anchors"]
         assert result.poison_tasks == 1
         assert result.worker_restarts >= 1
-        assert _cores(result) == _cores(thread_report)
+        assert _cores(result) == _cores(serial_report)
 
     def test_stop_event_drains_to_scan_drained_error(
         self, fitted, small_benchmark, tmp_path
@@ -427,18 +435,9 @@ class TestShardedScan:
         self, fitted, small_benchmark
     ):
         layout = small_benchmark.testing.layout
-        from dataclasses import replace
-
         base = scan_fingerprint(layout, 1, fitted.config, fitted.model_, 4800)
         assert base == scan_fingerprint(
             layout, 1, fitted.config.at_threshold(0.5), fitted.model_, 4800
-        )
-        assert base == scan_fingerprint(
-            layout,
-            1,
-            replace(fitted.config, parallel=True, backend="process"),
-            fitted.model_,
-            4800,
         )
         assert base != scan_fingerprint(
             layout, 1, fitted.config, fitted.model_, 2400
@@ -487,7 +486,6 @@ class TestCliProcessScan:
         ]
         process_args = [
             *base,
-            "--backend", "process",
             "--workers", "2",
             "--journal-dir", "journal",
         ]
@@ -523,7 +521,6 @@ class TestCliProcessScan:
             "scan",
             "--model", str(scan_workdir / "model.npz"),
             "--layout", str(scan_workdir / "layout.gds"),
-            "--backend", "process",
             "--workers", "2",
             "--shard-side", "2400",
             "--journal-dir", str(journal_dir),
@@ -543,7 +540,3 @@ class TestCliProcessScan:
         assert (journal_dir / "journal.jsonl").exists()
         assert main([*scan_args, "--resume"]) == 0
         assert not journal_dir.exists()  # cleared on success
-
-    def test_backend_validation(self):
-        with pytest.raises(ConfigError):
-            DetectorConfig(backend="carrier-pigeon")
