@@ -12,7 +12,8 @@ Next to each ``<name>.gds`` the generator writes
 ``<name>.expected.json``: for every window in :data:`WINDOWS`, the
 horizontal and vertical tilings, the MTCG edges, the topological rule
 rectangles, the nontopological features and the density grid that
-extraction produces from the GDS file.  ``tests/test_fastdiff_fixtures.py``
+extraction produces from the GDS file, plus the four directional side
+strings and the canonical topology key.  ``tests/test_fastdiff_fixtures.py``
 recomputes each part and compares it bit for bit.
 
 Run from the repo root to rebuild::
@@ -38,6 +39,7 @@ from repro.layout.layout import Layout
 from repro.mtcg.features import extract_topological_features
 from repro.mtcg.graph import build_mtcg
 from repro.mtcg.tiles import horizontal_tiling, vertical_tiling
+from repro.topology.strings import canonical_string_key, directional_strings
 
 HERE = Path(__file__).parent
 LAYER = 1
@@ -219,6 +221,14 @@ def density(rects, window):
     return density_grid(clipped, window, DENSITY_RESOLUTION).tolist()
 
 
+def strings(rects, window):
+    """The four side strings and the D8-canonical key (the kernel gate)."""
+    return {
+        **asdict(directional_strings(rects, window)),
+        "key": canonical_string_key(rects, window),
+    }
+
+
 #: Part name -> the function that computes it; a record holds every part per window.
 PARTS = {
     "tilings": tilings,
@@ -226,6 +236,7 @@ PARTS = {
     "rules": rules,
     "nontopo": nontopo,
     "density": density,
+    "strings": strings,
 }
 
 

@@ -111,6 +111,27 @@ class TestKeyAlgebra:
         b = Clip.build(window, other_spec, rects)
         assert clip_content_key(a) != clip_content_key(b)
 
+    def test_digests_are_pinned(self):
+        # Every on-disk cache tier is addressed by these digests: a silent
+        # change to the key bytes would turn every warm cache cold.  The
+        # clip sits off the origin, has geometry crossing the window edge
+        # and two overlapping inputs, so translation, clipping and the
+        # disjoint cover all feed the digest.
+        window = Rect(-3000, 7000, -1800, 8200)
+        rects = [
+            Rect(-3100, 7100, -2500, 7300),
+            Rect(-2600, 7200, -2400, 7900),
+            Rect(-2000, 8000, -1700, 8300),
+            Rect(-2900, 7500, -2800, 7600),
+        ]
+        clip = Clip.build(window, SPEC, rects)
+        assert clip_content_key(clip, canonical=False) == (
+            "8099c493ce70191770417962fdbdc011663386c17babd61f4787cf4a5f4e3950"
+        )
+        assert clip_content_key(clip, canonical=True) == (
+            "56b6f7d88ba4568eeefad80aa4d805ba5004a78d763d95d7a8ba31b4d93cce92"
+        )
+
 
 class TestTheoremOneCoupling:
     """D8 sharing is sound exactly when classification is D8-blind."""

@@ -6,7 +6,8 @@ unit/hairline rects, edge- and corner-touching lattices, windows with
 no geometry, rects spanning the window boundary, and a seeded mutation
 soup.  Next to each GDS file sits the expected record the generator
 wrote: per window, the tilings, the MTCG edges, the topological rules,
-the nontopological features and the density grid.  Extraction is
+the nontopological features, the density grid, and the directional
+side strings with their canonical key.  Extraction is
 integer geometry, so every comparison here is ``==``, never a
 tolerance.  ``tests/fixtures/fastdiff/generate.py`` rebuilds the corpus
 deterministically.
@@ -61,3 +62,6 @@ class TestFastdiffFixtures:
 
     def test_density_grid_bit_identical(self, name, window):
         _check("density", name, window)
+
+    def test_strings_bit_identical(self, name, window):
+        _check("strings", name, window)
