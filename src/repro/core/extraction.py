@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.core.config import ExtractionConfig
 from repro.errors import ReproError
 from repro.geometry.dissect import cut_to_max_size
-from repro.geometry.rect import Rect, bounding_box
+from repro.geometry.rect import Rect, bounding_box, total_area
 from repro.layout.clip import Clip, ClipSpec
 from repro.layout.layout import Layout
 from repro.resilience import faults
@@ -59,7 +59,7 @@ def _meets_distribution(
     core_rects = clip.core_rects()
     if len(core_rects) < config.min_polygon_count:
         return False, "count"
-    density = clip.core_density()
+    density = total_area(core_rects) / clip.core.area
     if not config.min_core_density <= density <= config.max_core_density:
         return False, "density"
     box = bounding_box(clip.rects)

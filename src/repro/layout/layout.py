@@ -104,17 +104,8 @@ class Layout:
             if layer not in self._layers:
                 raise LayoutError(f"layout has no layer {layer}")
             return bounding_box(self._layers[layer].rects)
-        boxes = [
-            box
-            for box in (bounding_box(lyr.rects) for lyr in self._layers.values())
-            if box is not None
-        ]
-        if not boxes:
-            return None
-        out = boxes[0]
-        for box in boxes[1:]:
-            out = out.union_bbox(box)
-        return out
+        boxes = (bounding_box(lyr.rects) for lyr in self._layers.values())
+        return bounding_box(box for box in boxes if box is not None)
 
     def polygon_count(self, layer: Optional[int] = None) -> int:
         if layer is not None:

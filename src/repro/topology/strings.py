@@ -5,14 +5,22 @@ binary code — a leading ``1`` for the window boundary, then one bit per
 block/space segment read away from that boundary (block = 1, space = 0) —
 which is then read as an integer.  The sequence of slice codes for the
 downward direction is the *downward string*; the other three directional
-strings are the downward strings of the pattern rotated so that the right,
-top and left sides face downward.
+strings are, by definition, the downward strings of the pattern rotated so
+that the right, top and left sides face downward.
 
 The four strings are generated in a rotation-covariant way: slices are
 ordered along the counter-clockwise boundary traversal of the window, so a
 90-degree pattern rotation cyclically permutes ``(bottom, right, top,
 left)``.  That covariance is what makes Theorem 1's composite-string
 matching work (see :mod:`repro.topology.match`).
+
+No rotation is ever computed.  Rotating a side to face downward only
+changes the order the slices and their segments are read in, so two sweeps
+over the window-clipped rects give all four strings: the x-slabs give
+``bottom`` (slabs left to right, segments read upward) and ``top`` (slabs
+right to left, segments read downward), and the y-slabs give ``right``
+(slabs bottom to top, segments read leftward) and ``left`` (slabs top to
+bottom, segments read rightward).
 
 The paper's Fig. 5(a) example — an "L" made of a full-height bar plus a
 floating arm slice — encodes as ``<3, 10>`` = ``<11b, 1010b>``; the tests
@@ -26,15 +34,6 @@ from typing import Sequence
 
 from repro.errors import TopologyError
 from repro.geometry.rect import Rect
-from repro.geometry.transform import Orientation, transform_rects_in_window
-
-#: The rotation that brings each window side to face downward.
-_SIDE_ROTATION = {
-    "bottom": Orientation.R0,
-    "right": Orientation.R270,
-    "top": Orientation.R180,
-    "left": Orientation.R90,
-}
 
 SIDES = ("bottom", "right", "top", "left")
 
@@ -70,36 +69,54 @@ class DirectionalStrings:
         ]
 
 
-def _merged_y_intervals(rects: Sequence[Rect], x0: int, x1: int, window: Rect) -> tuple:
-    """Merged block y-intervals over the slab ``[x0, x1]``, clipped to window."""
-    spans = sorted(
-        (max(r.y0, window.y0), min(r.y1, window.y1))
-        for r in rects
-        if r.x0 < x1 and x0 < r.x1 and r.y0 < window.y1 and window.y0 < r.y1
-    )
-    merged: list[list[int]] = []
-    for lo, hi in spans:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
+def _sweep(spans: list[tuple], lo: int, hi: int, read_lo: int, read_hi: int) -> tuple:
+    """Slice codes of one sweep, in sweep order, read from both ends.
+
+    ``spans`` are sorted window-clipped ``(b0, b1, a0, a1)`` extents.  The
+    sweep axis ``[lo, hi]`` is cut at every span edge; a slab's blocks are
+    the merged (touching counts) b-intervals of the spans covering it, and
+    adjacent slabs with identical blocks merge, so the slab count reflects
+    topology changes only.  A slab's code is a leading ``1`` then one bit
+    per segment (block 1, space 0) read away from ``read_lo``; read away
+    from ``read_hi`` it is the same segments reversed.
+    """
+    edges = {lo, hi}
+    for _, _, a0, a1 in spans:
+        edges.update((a0, a1))
+    cuts = sorted(edges)
+    previous = None
+    from_lo: list[int] = []
+    from_hi: list[int] = []
+    for start, stop in zip(cuts, cuts[1:]):
+        blocks: list[list[int]] = []
+        for b0, b1, a0, a1 in spans:
+            if a0 < stop and start < a1:
+                if blocks and b0 <= blocks[-1][1]:
+                    blocks[-1][1] = max(blocks[-1][1], b1)
+                else:
+                    blocks.append([b0, b1])
+        if blocks == previous:
+            continue
+        previous = blocks
+        bits, cursor = "", read_lo
+        for b0, b1 in blocks:
+            bits += "01" if b0 > cursor else "1"  # [space,] block
+            cursor = b1
+        if cursor < read_hi:
+            bits += "0"  # trailing space up to the far boundary
+        from_lo.append(int("1" + bits, 2))
+        from_hi.append(int("1" + bits[::-1], 2))
+    return from_lo, from_hi
 
 
-def _slice_code(intervals: tuple, window: Rect) -> int:
-    """Binary slice code: boundary bit then segment bits bottom-to-top."""
-    bits = ["1"]  # window boundary marker
-    cursor = window.y0
-    for lo, hi in intervals:
-        if lo > cursor:
-            bits.append("0")  # space below this block
-        bits.append("1")  # the block itself
-        cursor = hi
-    if cursor < window.y1:
-        bits.append("0")  # trailing space up to the top boundary
-    if not intervals:
-        bits = ["1", "0"]  # an entirely empty slab
-    return int("".join(bits), 2)
+def _x_sweep(rects: Sequence[Rect], window: Rect) -> tuple:
+    """Codes of the x-slabs, left to right, read upward and downward."""
+    spans = sorted((r.y0, r.y1, r.x0, r.x1) for r in rects)
+    return _sweep(spans, window.x0, window.x1, window.y0, window.y1)
+
+
+def _clipped(rects: Sequence[Rect], window: Rect) -> list[Rect]:
+    return [r for r in (rect.intersection(window) for rect in rects) if r is not None]
 
 
 def downward_string(rects: Sequence[Rect], window: Rect) -> tuple[int, ...]:
@@ -109,38 +126,31 @@ def downward_string(rects: Sequence[Rect], window: Rect) -> tuple[int, ...]:
     merged block intervals are geometrically identical are re-merged so the
     slice count reflects topology changes only.
     """
-    cuts = {window.x0, window.x1}
-    for rect in rects:
-        if rect.x1 > window.x0 and rect.x0 < window.x1:
-            cuts.add(max(rect.x0, window.x0))
-            cuts.add(min(rect.x1, window.x1))
-    xs = sorted(cuts)
-    slabs: list[tuple] = []
-    for x0, x1 in zip(xs, xs[1:]):
-        intervals = _merged_y_intervals(rects, x0, x1, window)
-        if slabs and slabs[-1] == intervals:
-            continue  # edge did not change the coverage topology
-        slabs.append(intervals)
-    return tuple(_slice_code(intervals, window) for intervals in slabs)
+    upward, _ = _x_sweep(_clipped(rects, window), window)
+    return tuple(upward)
 
 
 def directional_strings(rects: Sequence[Rect], window: Rect) -> DirectionalStrings:
-    """All four directional strings of a pattern.
+    """All four directional strings of a pattern, from two sweeps.
 
-    Each side string is the downward string of the pattern rotated so that
-    side faces downward, which orders slices along the CCW window boundary.
+    Each equals the downward string of the pattern rotated so that side
+    faces downward, which orders slices along the CCW window boundary.
     Requires a square window (the D8 group acts on squares).
     """
     if window.width != window.height:
         raise TopologyError(
             f"directional strings need a square window, got {window.width}x{window.height}"
         )
-    rect_list = list(rects)
-    values = {}
-    for side in SIDES:
-        rotated = transform_rects_in_window(rect_list, window, _SIDE_ROTATION[side])
-        values[side] = downward_string(rotated, window)
-    return DirectionalStrings(**values)
+    clipped = _clipped(rects, window)
+    upward, downward = _x_sweep(clipped, window)
+    y_spans = sorted((r.x0, r.x1, r.y0, r.y1) for r in clipped)
+    rightward, leftward = _sweep(y_spans, window.y0, window.y1, window.x0, window.x1)
+    return DirectionalStrings(
+        bottom=tuple(upward),
+        right=tuple(leftward),
+        top=tuple(reversed(downward)),
+        left=tuple(reversed(rightward)),
+    )
 
 
 def key_orbit(strings: DirectionalStrings) -> list[tuple[tuple[int, ...], ...]]:
@@ -150,8 +160,8 @@ def key_orbit(strings: DirectionalStrings) -> list[tuple[tuple[int, ...], ...]]:
     strings: a 90-degree CCW rotation cyclically shifts
     ``(bottom, right, top, left) -> (left, bottom, right, top)``, and the
     vertical-axis mirror swaps left/right and reverses every side's slice
-    order.  Computing the orbit this way costs one slicing pass instead of
-    eight.
+    order.  Computing the orbit this way costs the two sweeps of
+    :func:`directional_strings` instead of eight slicings.
     """
     sides = (strings.bottom, strings.right, strings.top, strings.left)
     mirrored = tuple(

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import LayoutError
+from repro.geometry.dissect import disjoint_cover
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.geometry.transform import Orientation
@@ -92,6 +93,26 @@ class TestClip:
             for b in clip.rects[i + 1 :]:
                 assert not a.overlaps(b)
         assert sum(r.area for r in clip.rects) == 36 + 36 - 9
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-3, 14), st.integers(-3, 14),
+                st.integers(1, 8), st.integers(1, 8),
+            ),
+            max_size=10,
+        ).flatmap(st.permutations)
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_build_matches_pairwise_reference(self, raw):
+        # The replaced pairwise check, then the cover in input order, then
+        # sorted: the sweep must give the same rects tuple on any order.
+        rects = [Rect(x, y, x + w, y + h) for x, y, w, h in raw]
+        window = SPEC.clip_at(0, 0)
+        clipped = [r for r in (rect.intersection(window) for rect in rects) if r]
+        if any(a.overlaps(b) for i, a in enumerate(clipped) for b in clipped[i + 1 :]):
+            clipped = disjoint_cover(clipped)
+        assert Clip.build(window, SPEC, rects).rects == tuple(sorted(clipped))
 
     def test_shifted_content_moves(self):
         clip = self.make([Rect(5, 5, 7, 7)])
