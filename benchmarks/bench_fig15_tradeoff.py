@@ -5,16 +5,16 @@ testing layouts, and sweeps the operating point; the extra count stays
 low and stable through the mid hit-rates and grows (roughly linearly)
 only once the hit rate pushes past ~90 %.
 
-Here the decision threshold is swept over a trained 'ours' detector.
-Candidate margins are computed once; each threshold re-scores the flag
-set (removal is applied at each point so the curve matches the deployed
-pipeline).
+Here the decision threshold is swept over a trained 'removal' detector
+(no feedback kernel: a pure threshold sweep) with
+:func:`repro.core.roc.sweep_thresholds`, which scans the layout once and
+re-scores that scan at each point (removal applied, matching the
+deployed pipeline).
 """
 
 
 from repro.core.extraction import extract_candidate_clips
-from repro.core.metrics import score_reports
-from repro.core.removal import remove_redundant_clips
+from repro.core.roc import sweep_thresholds
 
 from conftest import get_benchmark, get_detector, print_table
 
@@ -23,29 +23,10 @@ THRESHOLDS = (-0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def sweep(name: str):
-    bench = get_benchmark(name)
-    detector = get_detector(name, "removal")  # no feedback: pure threshold sweep
-    config = detector.config
-    extraction = extract_candidate_clips(bench.testing.layout, config.spec, config.extraction)
-    margins = detector.margins(extraction.clips)
-    truth = bench.testing.hotspot_cores()
-
-    points = []
-    for threshold in THRESHOLDS:
-        flagged = [
-            clip for clip, margin in zip(extraction.clips, margins) if margin >= threshold
-        ]
-        reports = remove_redundant_clips(
-            flagged,
-            detector.config.spec,
-            detector.config.removal,
-            lambda core: bench.testing.layout.cut_clip_at_core(
-                detector.config.spec, core
-            ),
-        )
-        score = score_reports(reports, truth, bench.testing.area_um2)
-        points.append((threshold, score))
-    return points
+    points = sweep_thresholds(
+        get_detector(name, "removal"), get_benchmark(name).testing, THRESHOLDS
+    )
+    return [(point.threshold, point.score) for point in points]
 
 
 def test_fig15_tradeoff(once):

@@ -10,10 +10,7 @@ named operating points from Table II.
 Run:  python examples/operating_points.py
 """
 
-from repro import DetectorConfig, HotspotDetector, generate_benchmark
-from repro.core.extraction import extract_candidate_clips
-from repro.core.metrics import score_reports
-from repro.core.removal import remove_redundant_clips
+from repro import DetectorConfig, HotspotDetector, generate_benchmark, sweep_thresholds
 
 
 def main() -> None:
@@ -21,30 +18,15 @@ def main() -> None:
     detector = HotspotDetector(DetectorConfig.ours())
     detector.fit(bench.training)
 
-    # Compute candidate margins once; each threshold reuses them.
-    config = detector.config
-    extraction = extract_candidate_clips(bench.testing.layout, config.spec, config.extraction)
-    margins = detector.margins(extraction.clips)
-    truth = bench.testing.hotspot_cores()
-
-    def factory(core):
-        return bench.testing.layout.cut_clip_at_core(detector.config.spec, core)
-
+    # One scan of the layout; each threshold re-scores it.
+    thresholds = (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0)
     print(f"{'threshold':>10} {'hits':>6} {'extras':>7} {'hit rate':>9} {'hit/extra':>10}")
-    for threshold in (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0):
-        flagged = [
-            clip
-            for clip, margin in zip(extraction.clips, margins)
-            if margin >= threshold
-        ]
-        reports = remove_redundant_clips(
-            flagged, detector.config.spec, detector.config.removal, factory
-        )
-        score = score_reports(reports, truth, bench.testing.area_um2)
+    for point in sweep_thresholds(detector, bench.testing, thresholds):
+        score = point.score
         ratio = score.hit_extra_ratio
         ratio_text = "inf" if ratio == float("inf") else f"{ratio:.3f}"
         print(
-            f"{threshold:>+10.2f} {score.hits:>6} {score.extras:>7} "
+            f"{point.threshold:>+10.2f} {score.hits:>6} {score.extras:>7} "
             f"{score.accuracy:>8.1%} {ratio_text:>10}"
         )
 

@@ -4,7 +4,7 @@ Scans over near-identical layouts (ECO iterations) recompute MTCG
 features and SVM margins for clips whose geometry did not change.  This
 package keys both by geometry content so they are computed once:
 
-- :mod:`repro.cache.keys` — translation/D8-invariant clip keys plus
+- :mod:`repro.cache.keys` — translation-invariant clip keys plus
   config and model fingerprints.
 - :mod:`repro.cache.store` — :class:`HotspotCache`, the in-process LRU
   layered over pluggable :class:`CacheStore` blob backends (disk,
@@ -19,7 +19,6 @@ the ``--cache-dir/--no-cache/--incremental`` scan flags.  See
 
 from .keys import (
     CACHE_KEY_VERSION,
-    cache_canonical,
     clip_content_key,
     feature_fingerprint,
     model_fingerprint,
@@ -47,7 +46,6 @@ __all__ = [
     "MemoryCacheStore",
     "open_blob",
     "wrap_blob",
-    "cache_canonical",
     "clip_content_key",
     "feature_fingerprint",
     "model_fingerprint",

@@ -5,13 +5,9 @@ by where it came from:
 
 - :func:`clip_content_key` hashes a clip's geometry after translating it
   to the origin, so the same pattern cut from two layout locations — or
-  from two runs over the same layout — shares one key.  When
-  ``canonical`` is set the geometry is first reduced to its D8 canonical
-  form, so the eight orientations of a pattern share one key too.  That
-  flag must mirror the computation being cached: feature extraction under
-  ``canonical_orientation`` (the paper's Theorem 1 setting) is
-  orientation-blind and may share, while a density-grid extraction sees
-  orientation and must not.
+  from two runs over the same layout — shares one key.  Orientations
+  keep distinct keys: a density-grid extraction sees orientation, so a
+  key shared across the D8 group would be unsound for it.
 - :func:`feature_fingerprint` hashes a :class:`~repro.features.vector.
   FeatureConfig`, versioning every cached feature blob by the extraction
   configuration that produced it.
@@ -37,51 +33,22 @@ import numpy as np
 CACHE_KEY_VERSION = 1
 
 
-def cache_canonical(config) -> bool:
-    """Whether D8-canonical cache keys are *sound* for this config.
+def clip_content_key(clip) -> str:
+    """Translation-invariant geometry hash of a clip.
 
-    True exactly when the feature pipeline is orientation-blind: rule
-    rectangles are extracted from the canonical form (Theorem 1), but a
-    pixel density grid is sampled from the raw orientation, so enabling
-    it pins each orientation to its own key.
-
-    This is a soundness predicate, not a routing decision: the hot paths
-    always use raw (translation-only) keys, which are sound for every
-    config and ~50x cheaper to compute — canonicalizing a full clip
-    costs more than the margin row it would deduplicate.  Callers that
-    want cross-orientation sharing may opt into ``canonical=True`` keys
-    when this predicate holds.
-    """
-    return bool(
-        getattr(config, "canonical_orientation", False)
-        and not getattr(config, "include_density_grid", False)
-    )
-
-
-def clip_content_key(clip, canonical: bool = True) -> str:
-    """Translation-invariant (optionally D8-invariant) geometry hash.
-
-    Raw keys hash ``clip.rects`` minus the window origin: every clip
-    constructor sorts its rects and translation keeps that order, so this
-    is the sorted normalized geometry without building it.
+    Hashes ``clip.rects`` minus the window origin: every clip constructor
+    sorts its rects and translation keeps that order, so this is the
+    sorted normalized geometry without building it.
     """
     window = clip.window
     dx, dy = window.x0, window.y0
-    rects = clip.rects
-    if canonical and rects:
-        from repro.geometry.transform import canonical_form
-
-        normal = clip.normalized()
-        _, rects = canonical_form(list(normal.rects), normal.window)
-        dx = dy = 0  # the canonical form is already at the origin
     digest = sha256()
     digest.update(
         f"v{CACHE_KEY_VERSION};{window.width}x{window.height};"
-        f"core={clip.spec.core_side};ambit={clip.spec.ambit_margin};"
-        f"{'d8' if canonical else 'raw'};".encode()
+        f"core={clip.spec.core_side};ambit={clip.spec.ambit_margin};raw;".encode()
     )
     digest.update("".join(
-        f"{r.x0 - dx},{r.y0 - dy},{r.x1 - dx},{r.y1 - dy};" for r in rects
+        f"{r.x0 - dx},{r.y0 - dy},{r.x1 - dx},{r.y1 - dy};" for r in clip.rects
     ).encode())
     return digest.hexdigest()
 

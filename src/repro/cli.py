@@ -50,7 +50,7 @@ from repro.layout.io import (
     save_clipset_gds,
     save_layout_gds,
 )
-from repro.resilience import CheckpointStore, Deadline, QuarantineReport, faults
+from repro.resilience import Deadline, Journal, QuarantineReport, faults
 
 
 def _add_obs_arguments(parser, manifest_by_default: bool) -> None:
@@ -271,7 +271,8 @@ def _add_scan(subparsers) -> None:
     group.add_argument(
         "--resume",
         action="store_true",
-        help="skip shards journaled by an interrupted run",
+        help="reuse journaled shards whose influence-region geometry is "
+        "unchanged (an interrupted run's, even on an edited layout)",
     )
     group.add_argument(
         "--no-journal",
@@ -295,9 +296,8 @@ def _add_scan(subparsers) -> None:
     cache.add_argument(
         "--incremental",
         action="store_true",
-        help="reuse journaled shards whose influence-region geometry "
-        "is unchanged since the previous run; the journal is kept for "
-        "the next incremental scan",
+        help="--resume, and keep the journal after success so the next "
+        "incremental scan re-evaluates only edited regions",
     )
     _add_obs_arguments(parser, manifest_by_default=True)
 
@@ -521,8 +521,8 @@ def _add_fleet_scan(subparsers) -> None:
     group.add_argument(
         "--resume",
         action="store_true",
-        help="skip shards journaled by an interrupted fleet (or local "
-        "journaled) scan",
+        help="reuse shards journaled by an interrupted fleet (or local "
+        "journaled) scan whose influence-region geometry is unchanged",
     )
     group.add_argument(
         "--no-journal", action="store_true", help="scan without a shard journal"
@@ -874,13 +874,7 @@ def cmd_train(args) -> int:
         session.set_dataset("source", str(args.clips))
         checkpoint = None
         if not args.no_checkpoint:
-            checkpoint_dir = args.checkpoint_dir or args.model.with_suffix(".ckpt")
-            checkpoint = CheckpointStore(checkpoint_dir)
-        resumable = (
-            len(checkpoint.completed_indices())
-            if checkpoint is not None and args.resume
-            else 0
-        )
+            checkpoint = Journal(args.checkpoint_dir or args.model.with_suffix(".ckpt"))
         started = time.perf_counter()
         report = detector.fit(
             training,
@@ -899,11 +893,12 @@ def cmd_train(args) -> int:
             nonhotspot_centroids=report.nonhotspot_centroids,
             upsampled_hotspots=report.upsampled_hotspots,
             feedback_trained=report.feedback_trained,
-            resumed_kernels=resumable,
+            resumed_kernels=report.resumed_kernels,
             train_seconds=round(report.train_seconds, 4),
         )
         session.artifact("model", args.model)
-        resumed_note = f", {resumable} resumed" if resumable else ""
+        resumed = report.resumed_kernels
+        resumed_note = f", {resumed} resumed" if resumed else ""
         print(
             f"trained {report.kernels} kernels "
             f"(feedback={report.feedback_trained}{resumed_note}) in "

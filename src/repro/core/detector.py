@@ -54,6 +54,8 @@ class TrainingReport:
     feedback_trained: bool
     upsampled_hotspots: int
     train_seconds: float
+    #: Kernels reused from the training journal instead of retrained.
+    resumed_kernels: int = 0
 
     def total_rounds(self, model: MultiKernelModel) -> int:
         return sum(len(kernel.history) for kernel in model.kernels)
@@ -205,6 +207,7 @@ class HotspotDetector:
             feedback_trained=self.feedback_ is not None,
             upsampled_hotspots=len(self.model_.hotspot_clips),
             train_seconds=time.perf_counter() - started,
+            resumed_kernels=self.model_.resumed_kernels,
         )
         self._observe("detector_fit_seconds", self.training_report_.train_seconds)
         return self.training_report_

@@ -160,6 +160,32 @@ def decode_trained_kernel(meta: dict, arrays, prefix: str) -> TrainedKernel:
     )
 
 
+def encode_kernel_payload(kernel: TrainedKernel) -> bytes:
+    """One kernel as compressed npz bytes: a training-journal unit."""
+    arrays: dict = {}
+    meta = encode_trained_kernel(kernel, arrays, "k")
+    arrays["meta"] = np.frombuffer(
+        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+    ).copy()
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def decode_kernel_payload(raw: bytes, index: int) -> TrainedKernel:
+    """Inverse of :func:`encode_kernel_payload` for the kernel at ``index``.
+
+    Raises on malformed bytes or a kernel of another cluster; the
+    training journal counts either as one kernel to retrain.
+    """
+    with np.load(io.BytesIO(raw)) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    if meta["cluster_index"] != index:
+        raise ValueError(f"kernel {meta['cluster_index']} journaled as {index}")
+    return decode_trained_kernel(meta, arrays, "k")
+
+
 # ----------------------------------------------------------------------
 # save / load
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Operating-curve utilities: threshold sweeps over a fitted detector.
 
 Fig. 15's axis is the decision threshold.  :func:`sweep_thresholds`
-computes candidate margins once and re-scores the flag set per threshold
-(with the removal stage applied at each point, matching the deployed
-pipeline), which makes dense sweeps cheap; :func:`area_under_curve` gives
-a single-number summary for regression tracking.
+scans the layout once and re-scores that scan through ``detect`` at each
+threshold (feedback and removal included, exactly as the deployed
+pipeline applies them), which makes dense sweeps cheap;
+:func:`area_under_curve` gives a single-number summary for regression
+tracking.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.detector import HotspotDetector
-from repro.core.extraction import extract_candidate_clips
 from repro.core.metrics import DetectionScore, score_reports
-from repro.core.removal import remove_redundant_clips
 from repro.data.synth import TestingLayout
 from repro.errors import NotFittedError
 
@@ -43,35 +42,16 @@ def sweep_thresholds(
     testing: TestingLayout,
     thresholds: Sequence[float] = tuple(np.linspace(-0.75, 1.0, 8)),
     layer: int = 1,
-    apply_removal: bool = True,
 ) -> list[CurvePoint]:
-    """Score the detector at each threshold; margins computed once."""
+    """Score the detector at each threshold; the layout is scanned once."""
     if detector.model_ is None:
         raise NotFittedError("sweep_thresholds needs a fitted detector")
-    config = detector.config
-    extraction = extract_candidate_clips(
-        testing.layout, config.spec, config.extraction, layer
-    )
-    margins = detector.margins(extraction.clips)
+    scan = detector.detect(testing.layout, layer).extraction
     truth = testing.hotspot_cores()
-
-    def clip_factory(core):
-        return testing.layout.cut_clip_at_core(detector.config.spec, core, layer)
-
     points = []
     for threshold in thresholds:
-        flagged = [
-            clip
-            for clip, margin in zip(extraction.clips, margins)
-            if margin >= threshold
-        ]
-        if apply_removal and flagged:
-            reports = remove_redundant_clips(
-                flagged, detector.config.spec, detector.config.removal, clip_factory
-            )
-        else:
-            reports = flagged
-        score = score_reports(reports, truth, testing.area_um2)
+        report = detector.detect(testing.layout, layer, threshold=threshold, scan=scan)
+        score = score_reports(report.reports, truth, testing.area_um2)
         points.append(CurvePoint(float(threshold), score))
     return points
 

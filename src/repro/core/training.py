@@ -84,6 +84,8 @@ class MultiKernelModel:
     #: Optional :class:`repro.cache.HotspotCache` memoizing margin rows by
     #: clip geometry.  Shared mutable state; dropped on pickling.
     cache: Optional[object] = field(default=None, repr=False, compare=False)
+    #: Kernels a training journal supplied instead of training them.
+    resumed_kernels: int = field(default=0, compare=False)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -122,10 +124,8 @@ class MultiKernelModel:
 
         from repro.cache.keys import clip_content_key
 
-        # Raw (translation-only) keys: sound for every config, and far
-        # cheaper than the D8 canonicalization (see keys.cache_canonical).
         fingerprint = self._cache_fingerprint()
-        keys = [clip_content_key(clip, canonical=False) for clip in clips]
+        keys = [clip_content_key(clip) for clip in clips]
         # With a batch-capable tier attached (the fleet's remote cache)
         # warm the whole clip batch in one RPC per node up front, so the
         # per-clip loop below hits memory instead of the network.
@@ -164,11 +164,10 @@ class MultiKernelModel:
             return
         from repro.cache.keys import clip_content_key
 
-        fingerprint, canonical = self.extractor._cache_identity()
         prefetch(
             "features",
-            fingerprint,
-            [clip_content_key(clip, canonical=canonical) for clip in clips],
+            self.extractor._cache_identity(),
+            [clip_content_key(clip) for clip in clips],
         )
 
     def _kernel_margins_uncached(self, clips: Sequence[Clip]) -> np.ndarray:
@@ -309,11 +308,13 @@ def train_multi_kernel(
     3. Downsample nonhotspots to cluster centroids.
     4. Train one kernel per hotspot cluster.
 
-    ``checkpoint`` (a :class:`repro.resilience.checkpoint.
-    CheckpointStore`) persists each kernel as it converges; with
-    ``resume`` the kernels already on disk for this dataset + config are
-    reused instead of retrained, so a run killed mid-kernel (SIGTERM,
-    OOM, injected fault) loses at most one kernel's work.  ``deadline``
+    ``checkpoint`` (a :class:`repro.resilience.checkpoint.Journal`)
+    journals each kernel as it converges, keyed by its index under a
+    :func:`~repro.resilience.checkpoint.training_fingerprint` identity;
+    with ``resume`` the kernels already journaled for this dataset +
+    config are reused instead of retrained (counted in the model's
+    ``resumed_kernels``), so a run killed mid-kernel (SIGTERM, OOM,
+    injected fault) loses at most one kernel's work.  ``deadline``
     (a :class:`repro.resilience.retry.Deadline`) is checked between
     kernels and raises :class:`~repro.errors.StageTimeout` — after the
     completed kernels have checkpointed, so the timeout itself is
@@ -371,13 +372,19 @@ def train_multi_kernel(
 
     done: dict[int, TrainedKernel] = {}
     if checkpoint is not None:
-        from repro.resilience.checkpoint import training_fingerprint
+        from repro.core.persist import decode_kernel_payload, encode_kernel_payload
+        from repro.resilience.checkpoint import CHECKPOINT_VERSION, training_fingerprint
 
-        fingerprint = training_fingerprint(training, config)
-        done = checkpoint.begin(fingerprint, len(jobs), resume=resume)
+        identity = {
+            "version": CHECKPOINT_VERSION,
+            "fingerprint": training_fingerprint(training, config),
+        }
+        keys = [str(index) for index, _ in jobs]
+        done = checkpoint.begin(identity, keys, resume, decode_kernel_payload)
+    resumed = len(done)
     pending = [(index, members) for index, members in jobs if index not in done]
 
-    with trace("train.kernels", kernels=len(jobs), resumed=len(done)):
+    with trace("train.kernels", kernels=len(jobs), resumed=resumed):
         for index, members in pending:
             if deadline is not None:
                 deadline.check("train.kernels")
@@ -385,7 +392,7 @@ def train_multi_kernel(
                 index, members, centroids, extractor, config.svm, config.use_topology
             )
             if checkpoint is not None:
-                checkpoint.save_kernel(index, done[index])
+                checkpoint.record(str(index), encode_kernel_payload(done[index]))
     kernels = [done[index] for index, _ in jobs]
     return MultiKernelModel(
         kernels=kernels,
@@ -394,4 +401,5 @@ def train_multi_kernel(
         nonhotspot_centroids=centroids,
         extractor=extractor,
         classifier=classifier,
+        resumed_kernels=resumed,
     )

@@ -132,27 +132,21 @@ class FeatureExtractor:
     def __init__(self, config: FeatureConfig = FeatureConfig()):
         self.config = config
         self.cache = None
-        self._cache_ids: Optional[tuple[str, bool]] = None
+        self._cache_id: Optional[str] = None
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["cache"] = None
-        state["_cache_ids"] = None
+        state["_cache_id"] = None
         return state
 
-    def _cache_identity(self) -> tuple[str, bool]:
-        """(config fingerprint, use-D8-keys) — computed once per extractor.
-
-        Hot paths always use translation-invariant raw keys: they are
-        sound for every config (D8-canonical keys are only sound under
-        Theorem 1 configs, see :func:`repro.cache.keys.cache_canonical`)
-        and cost ~50x less to compute than the extraction they memoize.
-        """
-        if self._cache_ids is None:
+    def _cache_identity(self) -> str:
+        """The config fingerprint namespacing cached features, computed once."""
+        if self._cache_id is None:
             from repro.cache.keys import feature_fingerprint
 
-            self._cache_ids = (feature_fingerprint(self.config), False)
-        return self._cache_ids
+            self._cache_id = feature_fingerprint(self.config)
+        return self._cache_id
 
     # ------------------------------------------------------------------
     def _region_of(self, clip: Clip) -> tuple[list[Rect], Rect]:
@@ -172,8 +166,8 @@ class FeatureExtractor:
         if self.cache is not None:
             from repro.cache.keys import clip_content_key
 
-            fingerprint, canonical = self._cache_identity()
-            key = clip_content_key(clip, canonical=canonical)
+            fingerprint = self._cache_identity()
+            key = clip_content_key(clip)
             cached = self.cache.get_features(fingerprint, key)
             if cached is not None:
                 return cached

@@ -54,8 +54,8 @@ def fingerprint_rects(rects: Iterable) -> str:
     """sha256 over an iterable of rectangle-like (x0, y0, x1, y1).
 
     The digest format is load-bearing beyond manifest diffing: the shard
-    journal (``repro.work``) stores it per shard as the influence-region
-    hash that ``repro scan --incremental`` matches on, and the cache keys
+    journal (``repro.work``) keys every shard by this influence-region
+    hash, which ``--resume`` and ``--incremental`` match on, and the cache keys
     in :mod:`repro.cache.keys` follow the same content-hash discipline.
     Changing the format only ever *invalidates* stored hashes (a mismatch
     costs a recompute, never a wrong reuse), but it silently turns every

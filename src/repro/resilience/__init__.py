@@ -11,8 +11,10 @@ Stdlib-only building blocks, wired through core, IO and serving:
   :class:`~repro.resilience.retry.RetryPolicy` /
   :class:`~repro.resilience.retry.Deadline` — exponential backoff with
   deterministic jitter and per-stage deadlines;
-- :class:`~repro.resilience.checkpoint.CheckpointStore` — per-cluster
-  kernel checkpoints behind ``repro train --resume``;
+- :class:`~repro.resilience.checkpoint.Journal` — the content-keyed
+  store of completed work units behind ``repro train --resume`` (one
+  unit per cluster kernel) and ``repro scan --resume/--incremental``
+  (one unit per shard);
 - :class:`~repro.resilience.quarantine.QuarantineReport` — skip, count
   and report malformed inputs instead of crashing;
 - :class:`~repro.resilience.breaker.CircuitBreaker` — per-model load
@@ -37,7 +39,7 @@ from repro.errors import (
 from . import faults
 from .breaker import BreakerConfig, CircuitBreaker
 from .drill import ChaosDrill, DrillAction, DrillReport, DrillSchedule
-from .checkpoint import CheckpointStore, training_fingerprint
+from .checkpoint import Journal, training_fingerprint
 from .quarantine import QuarantineItem, QuarantineReport
 from .retry import IO_RETRY, Deadline, RetryPolicy, RetryState, call_with_retry
 
@@ -45,7 +47,6 @@ __all__ = [
     "BreakerConfig",
     "ChaosDrill",
     "CheckpointError",
-    "CheckpointStore",
     "CircuitBreaker",
     "CircuitOpenError",
     "Deadline",
@@ -54,6 +55,7 @@ __all__ = [
     "DrillSchedule",
     "IO_RETRY",
     "InputError",
+    "Journal",
     "QuarantineItem",
     "QuarantineReport",
     "RetryPolicy",

@@ -1,45 +1,50 @@
-"""Checkpoint/resume for multiple-kernel training.
+"""The journal behind every resumable job: training and scans.
 
-Kernel training is the long pole of a ``repro train`` run, and kernels
-are independent — so the natural checkpoint unit is one converged
-cluster kernel.  A :class:`CheckpointStore` is a directory holding
+Both long jobs of the pipeline split into independent units — one
+converged cluster kernel in multiple-kernel training, one region shard
+in a layout scan — so both resume the same way.  A :class:`Journal` is a
+directory holding
 
-- ``meta.json`` — the run *fingerprint* (a hash of the training set's
-  geometry and the detector config) plus the expected kernel count, and
-- ``kernel_NNNN.npz`` — one archive per completed kernel, written
-  atomically (tmp file + ``os.replace``) as each kernel converges.
+- ``journal.jsonl`` — line 1 is the header ``{identity, created_unix}``;
+  every further line records one completed unit ``{key, file, ...}``,
+  appended and fsynced as the unit completes;
+- ``unit_<key>.npz`` — one payload per completed unit, written
+  atomically (tmp file + ``os.replace``) before its journal line.
 
-A killed run (SIGTERM, OOM, injected fault, stage deadline) leaves the
-completed kernels on disk; ``repro train --resume`` reloads them and
-trains only the remainder.  The fingerprint guards against resuming
-against different data or config: a mismatch discards the stale
-checkpoints and starts fresh (with a warning) rather than silently
-mixing incompatible kernels.  A corrupt checkpoint file is likewise
-skipped and retrained, not fatal.
+The *identity* names everything a unit's payload depends on beyond its
+own key (format version, training data and config, model, shard grid);
+the *key* names the unit itself.  :meth:`Journal.begin` reuses a
+journaled unit exactly when the header has the run's identity and the
+unit's key is in the run's plan.  Training keys are kernel indices under
+a :func:`training_fingerprint` identity; scan keys are a shard's grid
+cell plus its influence-region geometry hash (see
+:mod:`repro.work.shard`), so a scan resumed after an edit still reuses
+every shard the edit did not touch.
+
+A journal with a different identity is discarded with a warning, never
+mixed in.  A torn journal line, an unreadable payload or one that fails
+to decode costs that one unit, never the resume.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import time
 from hashlib import sha256
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
-
-import numpy as np
+from typing import Callable, Optional, Sequence, TypeVar, Union
+from zipfile import BadZipFile
 
 from repro.errors import CheckpointError
 from repro.obs import get_logger
 
-if TYPE_CHECKING:  # core <-> resilience cycle: core modules use faults/quarantine
-    from repro.core.training import TrainedKernel
-
-#: Bump on breaking checkpoint-layout changes.
-CHECKPOINT_VERSION = 1
+#: Bump on breaking changes to the training journal's identity or payload.
+CHECKPOINT_VERSION = 2
 
 _log = get_logger("resilience.checkpoint")
+
+T = TypeVar("T")
 
 
 def training_fingerprint(training, config) -> str:
@@ -58,145 +63,149 @@ def training_fingerprint(training, config) -> str:
     return sha256(blob.encode("utf-8")).hexdigest()
 
 
-class CheckpointStore:
-    """One directory of per-kernel training checkpoints."""
+class Journal:
+    """One directory of content-keyed, individually resumable work units."""
 
-    META_NAME = "meta.json"
+    NAME = "journal.jsonl"
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
 
-    # ------------------------------------------------------------------
-    def _meta_path(self) -> Path:
-        return self.directory / self.META_NAME
+    def _path(self) -> Path:
+        return self.directory / self.NAME
 
-    def _kernel_path(self, index: int) -> Path:
-        return self.directory / f"kernel_{index:04d}.npz"
+    def _payload_path(self, key: str) -> Path:
+        return self.directory / f"unit_{key}.npz"
 
-    def _read_meta(self) -> Optional[dict]:
+    def _read(self) -> tuple[Optional[dict], list[dict]]:
+        """The header and the unit lines; torn lines are skipped."""
         try:
-            return json.loads(self._meta_path().read_text(encoding="utf-8"))
+            text = self._path().read_text(encoding="utf-8")
         except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as exc:
-            _log.warning("checkpoint_meta_unreadable", path=str(self._meta_path()), error=str(exc))
-            return None
+            return None, []
+        except OSError as exc:
+            _log.warning(
+                "journal_unreadable", path=str(self._path()), error=str(exc)
+            )
+            return None, []
+        documents = []
+        for number, line in enumerate(text.splitlines()):
+            try:
+                document = json.loads(line)
+            except ValueError:
+                document = None
+            if isinstance(document, dict):
+                documents.append(document)
+            else:
+                # A crash mid-append truncates the final line; that unit
+                # is simply redone.
+                _log.warning(
+                    "journal_torn_line", path=str(self._path()), line=number
+                )
+        if not documents:
+            return None, []
+        return documents[0], documents[1:]
 
     # ------------------------------------------------------------------
-    def begin(self, fingerprint: str, kernels: int, resume: bool = True) -> dict[int, TrainedKernel]:
-        """Prepare the store for a run; return resumable kernels by index.
+    def begin(
+        self,
+        identity: dict,
+        keys: Sequence[str],
+        reuse: bool,
+        decode: Callable[[bytes, int], T],
+    ) -> dict[int, T]:
+        """Prepare the journal for a run; return reusable units by position.
 
-        With ``resume`` and a matching fingerprint, previously completed
-        kernels are loaded and returned; otherwise the store is cleared
-        and an empty mapping comes back.  Always (re)writes ``meta.json``
-        so a run killed before its first kernel still leaves a coherent
-        store.
+        With ``reuse`` and a header of the same ``identity`` (a JSON-plain
+        dict), every journaled unit whose key is in ``keys`` is decoded
+        with ``decode(payload, position)`` and returned under its
+        position in ``keys``.  The journal is then rewritten to hold
+        exactly those units; every other payload file is deleted, so
+        without ``reuse`` or under another identity the run starts from
+        an empty journal with a fresh header.
         """
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CheckpointError(
-                f"cannot create checkpoint directory {self.directory}: {exc}"
+                f"cannot create journal directory {self.directory}: {exc}"
             ) from exc
-        meta = self._read_meta()
-        compatible = (
-            meta is not None
-            and meta.get("version") == CHECKPOINT_VERSION
-            and meta.get("fingerprint") == fingerprint
-            and meta.get("kernels") == kernels
-        )
-        loaded: dict[int, TrainedKernel] = {}
-        if compatible and resume:
-            loaded = self._load_kernels(kernels)
-        else:
-            if meta is not None and resume:
-                _log.warning(
-                    "checkpoint_fingerprint_mismatch",
-                    directory=str(self.directory),
-                    expected=fingerprint[:16],
-                    found=str(meta.get("fingerprint"))[:16],
-                )
-            self._clear_kernels()
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "fingerprint": fingerprint,
-            "kernels": kernels,
-            "created_unix": time.time(),
-        }
-        try:
-            self._meta_path().write_text(
-                json.dumps(payload, indent=2) + "\n", encoding="utf-8"
+        header, entries = self._read()
+        kept: dict[int, T] = {}
+        lines: list[dict] = []
+        if reuse and header is not None and header.get("identity") == identity:
+            position = {key: index for index, key in enumerate(keys)}
+            for entry in entries:
+                index = position.get(entry.get("key"))
+                if index is None or index in kept:
+                    continue
+                try:
+                    raw = self._payload_path(keys[index]).read_bytes()
+                    kept[index] = decode(raw, index)
+                except (OSError, EOFError, KeyError, ValueError, BadZipFile) as exc:
+                    _log.warning(
+                        "journal_unit_unreadable", key=keys[index], error=str(exc)
+                    )
+                    continue
+                lines.append(entry)
+        elif reuse and header is not None:
+            _log.warning(
+                "journal_identity_mismatch",
+                directory=str(self.directory),
+                expected=identity,
+                found=header.get("identity"),
             )
-        except OSError as exc:
-            raise CheckpointError(f"cannot write checkpoint meta: {exc}") from exc
-        return loaded
-
-    # ------------------------------------------------------------------
-    def save_kernel(self, index: int, kernel: "TrainedKernel") -> None:
-        """Atomically persist one completed kernel."""
-        from repro.core.persist import encode_trained_kernel
-
-        arrays: dict = {}
-        meta = encode_trained_kernel(kernel, arrays, "k")
-        meta["index"] = index
-        arrays["meta"] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
-        ).copy()
-        path = self._kernel_path(index)
-        tmp = path.with_suffix(".npz.tmp")
+        keep = {self._payload_path(entry["key"]).name for entry in lines}
+        for path in self.directory.glob("unit_*.npz*"):
+            if path.name not in keep:
+                path.unlink(missing_ok=True)
+        text = "".join(
+            json.dumps(line) + "\n"
+            for line in [{"identity": identity, "created_unix": time.time()}, *lines]
+        )
+        tmp = self._path().with_suffix(".jsonl.tmp")
         try:
-            buffer = io.BytesIO()
-            np.savez_compressed(buffer, **arrays)
-            tmp.write_bytes(buffer.getvalue())
-            os.replace(tmp, path)
+            with tmp.open("w", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, self._path())
         except OSError as exc:
             tmp.unlink(missing_ok=True)
-            raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
+            raise CheckpointError(
+                f"cannot write journal {self._path()}: {exc}"
+            ) from exc
+        return kept
 
-    def _load_kernels(self, kernels: int) -> "dict[int, TrainedKernel]":
-        from repro.core.persist import decode_trained_kernel
+    def record(self, key: str, payload: bytes, **summary) -> None:
+        """Persist one completed unit: payload atomically, then its line."""
+        path = self._payload_path(key)
+        tmp = path.with_suffix(".npz.tmp")
+        try:
+            tmp.write_bytes(payload)
+            os.replace(tmp, path)
+            with self._path().open("a", encoding="utf-8") as handle:
+                line = {"key": key, "file": path.name, **summary}
+                handle.write(json.dumps(line) + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            raise CheckpointError(f"cannot journal unit {path}: {exc}") from exc
 
-        loaded: dict = {}
-        for path in sorted(self.directory.glob("kernel_*.npz")):
-            try:
-                with np.load(path) as archive:
-                    arrays = {name: archive[name] for name in archive.files}
-                meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-                index = int(meta["index"])
-                if not 0 <= index < kernels:
-                    raise ValueError(f"kernel index {index} out of range")
-                loaded[index] = decode_trained_kernel(meta, arrays, "k")
-            except (OSError, KeyError, ValueError) as exc:
-                # A torn write (crash mid-save) must cost one kernel's
-                # retraining, never the whole resume.
-                _log.warning(
-                    "checkpoint_kernel_unreadable", path=str(path), error=str(exc)
-                )
-        return loaded
-
-    def completed_indices(self) -> list[int]:
-        """Indices that already have a checkpoint file on disk."""
-        out = []
-        for path in sorted(self.directory.glob("kernel_*.npz")):
-            try:
-                out.append(int(path.stem.split("_")[1]))
-            except (IndexError, ValueError):
-                continue
-        return out
-
-    # ------------------------------------------------------------------
-    def _clear_kernels(self) -> None:
-        for path in self.directory.glob("kernel_*.npz"):
-            path.unlink(missing_ok=True)
-        for path in self.directory.glob("kernel_*.npz.tmp"):
-            path.unlink(missing_ok=True)
+    def completed(self) -> list[str]:
+        """Keys with a journal line and a payload on disk, in journal order."""
+        _, entries = self._read()
+        keys = dict.fromkeys(str(entry.get("key")) for entry in entries)
+        return [key for key in keys if self._payload_path(key).exists()]
 
     def clear(self) -> None:
-        """Remove every checkpoint artifact (after a successful run)."""
+        """Remove every journal artifact (after a successful run)."""
         if not self.directory.exists():
             return
-        self._clear_kernels()
-        self._meta_path().unlink(missing_ok=True)
+        for path in self.directory.glob("unit_*.npz*"):
+            path.unlink(missing_ok=True)
+        self._path().unlink(missing_ok=True)
         try:
             self.directory.rmdir()
         except OSError:

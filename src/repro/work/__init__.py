@@ -10,7 +10,9 @@ Two layers:
   ``HotspotDetector.detect``: it buckets a layout's candidate anchors
   into shards, evaluates each with :func:`~repro.work.shard.evaluate_shard`
   in the calling process or on the pool, and journals completed shards
-  for ``repro scan --resume`` / ``--incremental``.
+  in a :class:`~repro.resilience.checkpoint.Journal` keyed by each
+  shard's cell and geometry hash, for ``repro scan --resume`` /
+  ``--incremental``.
 
 ``detect`` evaluates the shards in-process by default; pass
 ``work=ScanOptions(workers=N)`` (``repro scan --workers N`` on the CLI)
@@ -19,7 +21,6 @@ to run them on N supervised worker processes.
 
 from repro.work.pool import PoolConfig, PoolStats, PoolTask, SupervisedPool
 from repro.work.shard import (
-    ScanJournal,
     ScanOptions,
     ScanResult,
     decode_shard_record,
@@ -35,7 +36,6 @@ __all__ = [
     "PoolStats",
     "PoolTask",
     "SupervisedPool",
-    "ScanJournal",
     "ScanOptions",
     "ScanResult",
     "decode_shard_record",

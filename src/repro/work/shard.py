@@ -19,21 +19,20 @@ clip's content), margins are row-independent, and the merged
 candidates are re-sorted into global anchor order — so serial, pool and
 fleet scans, faulted + resumed or not, yield the same hotspot set.
 
-Journal layout (``<layout>.scanjournal/`` by default)::
-
-    journal.jsonl     line 1: header {version, fingerprint, shards,
-                      shard_side, created_unix}; then one line per
-                      completed shard {shard, file, anchors, candidates}
-    shard_NNNN.npz    anchors (N,2) int64 + margins (N,) float64 + a
-                      JSON meta blob (funnel counts, quarantine dump),
-                      written atomically (tmp + os.replace)
-
-The header fingerprint hashes the layer geometry, the detector config
-minus the decision threshold, the trained kernels, the layer and the
-shard grid — mirroring ``resilience/checkpoint.py``: a mismatched
-journal is discarded with a warning, never silently mixed.  Margins are
-threshold-independent, so a journaled run may resume under a different
-``--threshold``.
+The journal (``<layout>.scanjournal/`` by default) is a
+:class:`~repro.resilience.checkpoint.Journal`: one unit per completed
+shard, keyed by the shard's grid-cell origin plus its influence-region
+geometry hash (:func:`shard_key`), its payload the
+:func:`encode_shard_record` npz.  The header identity is the journal
+version, :func:`scan_base_fingerprint` (detector config minus the
+decision threshold, trained kernels, layer, shard grid) and the shard
+side; a journal of another identity is discarded with a warning, never
+mixed in.  A resumed scan reuses every journaled shard whose key is in
+its own shard plan, so ``--resume`` after an edit — like
+``--incremental``, which differs only in keeping the journal after
+success — re-evaluates just the shards whose influence region changed.
+Margins are threshold-independent, so a journaled run may resume under
+a different ``--threshold``.
 
 A task that repeatedly kills workers is bisected down the anchor list
 until the single offending anchor is isolated; that anchor lands in the
@@ -44,7 +43,6 @@ run's :class:`~repro.resilience.quarantine.QuarantineReport` (kind
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -62,14 +60,14 @@ from repro.geometry.rect import Rect
 from repro.layout.clip import Clip
 from repro.obs import fingerprint_layout, fingerprint_rects, get_logger, tally, trace
 from repro.resilience import faults
+from repro.resilience.checkpoint import Journal
 from repro.resilience.quarantine import QuarantineReport
 from repro.work.pool import PoolConfig, PoolStats, PoolTask, SupervisedPool
 
-#: Bump on breaking journal-layout changes.  Version 2 adds the
-#: layout-independent ``base`` fingerprint to the header and the absolute
-#: grid-cell origin + influence-region geometry hash to every shard
-#: record — the matching state incremental scans need.
-SCAN_JOURNAL_VERSION = 2
+#: Bump on breaking journal-layout changes.  Version 3 keys every shard
+#: by its cell origin and geometry hash in the shared
+#: :class:`~repro.resilience.checkpoint.Journal`.
+SCAN_JOURNAL_VERSION = 3
 
 #: Default shard edge, in multiples of the clip side: big enough that
 #: per-shard overhead amortises, small enough that losing one shard to a
@@ -94,7 +92,8 @@ class ScanOptions:
     shard_side: Optional[int] = None
     #: Journal directory; ``None`` scans without resumability.
     journal_dir: Optional[Union[str, Path]] = None
-    #: Reuse a compatible journal's completed shards.
+    #: Reuse every journaled shard whose key (grid-cell origin plus
+    #: influence-region geometry hash) is in this run's shard plan.
     resume: bool = False
     #: Supervision overrides; ``workers`` above wins over ``pool.workers``.
     pool: Optional[PoolConfig] = None
@@ -104,10 +103,9 @@ class ScanOptions:
     #: Keep the journal after a successful scan (default: cleared, like
     #: training checkpoints).
     keep_journal: bool = False
-    #: Reuse shards from the previous run's journal whose influence-region
-    #: geometry hash is unchanged, re-evaluating only edited regions.
-    #: Requires ``journal_dir``; implies ``keep_journal`` (the journal is
-    #: the state the next incremental run diffs against).
+    #: ``resume``, and keep the journal after success: the next
+    #: incremental run then re-evaluates only the edited regions.
+    #: Requires ``journal_dir``; implies ``keep_journal``.
     incremental: bool = False
     #: Directory of an on-disk :class:`repro.cache.HotspotCache` tier.
     #: Pool workers open it read/write, so a warm cache accelerates even
@@ -126,8 +124,8 @@ class ScanResult(ExtractionReport):
     stats: PoolStats = field(default_factory=PoolStats)
     shards_total: int = 0
     shards_resumed: int = 0
-    #: Shards reused by geometry-hash match from a previous run's journal
-    #: (incremental mode); disjoint from ``shards_resumed``.
+    #: The same journal matches, counted here instead of in
+    #: ``shards_resumed`` when the scan is incremental.
     shards_reused: int = 0
 
 
@@ -171,11 +169,11 @@ def _model_hash(model) -> str:
 def scan_base_fingerprint(layer: int, config, model, shard_side: int) -> str:
     """The layout-independent part of the scan fingerprint.
 
-    Incremental scans compare this across runs: the *layout* is expected
-    to differ (that is the point), but the config, model, layer and shard
-    grid must match for any per-shard reuse to be sound.  The decision
-    threshold is excluded — margins are computed before thresholding, so
-    a resume may change it freely.
+    The scan journal's identity: the *layout* may differ between a run
+    and its resume (per-shard keys cover that), but the config, model,
+    layer and shard grid must match for any per-shard reuse to be sound.
+    The decision threshold is excluded — margins are computed before
+    thresholding, so a resume may change it freely.
     """
     from repro.obs import config_summary
 
@@ -196,7 +194,7 @@ def scan_base_fingerprint(layer: int, config, model, shard_side: int) -> str:
 
 
 def scan_fingerprint(layout, layer: int, config, model, shard_side: int) -> str:
-    """Hash of everything that must match for a journal to be resumable."""
+    """Hash of everything a fleet worker must share with its coordinator."""
     blob = json.dumps(
         {
             "base": scan_base_fingerprint(layer, config, model, shard_side),
@@ -230,8 +228,8 @@ def shard_geometry_hash(
 # ----------------------------------------------------------------------
 # shard record codec (shared by the journal and the fleet wire format)
 # ----------------------------------------------------------------------
-def shard_record_arrays(record: _ShardRecord) -> dict[str, np.ndarray]:
-    """The npz array set persisting one shard record.
+def encode_shard_record(record: _ShardRecord) -> bytes:
+    """Serialise one shard record to compressed npz bytes.
 
     ``anchors`` (N,2) int64 + ``margins`` (N,) float64 + a JSON ``meta``
     blob (funnel counts, quarantine dump, cell origin, geometry hash).
@@ -252,27 +250,26 @@ def shard_record_arrays(record: _ShardRecord) -> dict[str, np.ndarray]:
         "geometry_sha": record.geometry_sha,
         "wall_s": round(record.wall_s, 6),
     }
-    return {
-        "anchors": anchors,
-        "margins": np.asarray(record.margins, dtype=float),
-        "meta": np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
-        ).copy(),
-    }
-
-
-def encode_shard_record(record: _ShardRecord) -> bytes:
-    """Serialise one shard record to compressed npz bytes."""
     buffer = BytesIO()
-    np.savez_compressed(buffer, **shard_record_arrays(record))
+    np.savez_compressed(
+        buffer,
+        anchors=anchors,
+        margins=np.asarray(record.margins, dtype=float),
+        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8).copy(),
+    )
     return buffer.getvalue()
 
 
-def _record_from_archive(archive, shard_id: int) -> _ShardRecord:
-    """Rebuild a shard record from a loaded npz archive (may raise)."""
-    anchors = archive["anchors"]
-    margins = archive["margins"]
-    meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
+def decode_shard_record(raw: bytes, shard_id: int) -> _ShardRecord:
+    """Parse :func:`encode_shard_record` bytes back into a record.
+
+    Raises on malformed input; callers (journal load, fleet push) treat
+    that as one lost shard, not a fatal error.
+    """
+    with np.load(BytesIO(raw)) as archive:
+        anchors = archive["anchors"]
+        margins = archive["margins"]
+        meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
     if len(anchors) != len(margins):
         raise ValueError("anchors/margins length mismatch")
     cell = meta.get("cell")
@@ -290,17 +287,6 @@ def _record_from_archive(archive, shard_id: int) -> _ShardRecord:
         geometry_sha=str(meta.get("geometry_sha", "")),
         wall_s=float(meta.get("wall_s", 0.0)),
     )
-
-
-def decode_shard_record(raw: bytes, shard_id: int) -> _ShardRecord:
-    """Parse :func:`encode_shard_record` bytes back into a record.
-
-    Raises ``ValueError``/``KeyError``/``OSError`` on malformed input;
-    callers (journal load, fleet push) treat that as one lost shard, not
-    a fatal error.
-    """
-    with np.load(BytesIO(raw)) as archive:
-        return _record_from_archive(archive, shard_id)
 
 
 def evaluate_shard(config, model, layout, layer: int, anchors) -> _ShardRecord:
@@ -355,241 +341,41 @@ def evaluate_shard(config, model, layout, layer: int, anchors) -> _ShardRecord:
 # ----------------------------------------------------------------------
 # the journal
 # ----------------------------------------------------------------------
-class ScanJournal:
-    """Append-only record of completed shards (checkpoint-store style)."""
+def shard_key(cell: tuple[int, int], geometry_sha: str) -> str:
+    """A shard's journal key: its grid-cell origin plus its geometry hash."""
+    return f"{cell[0]}_{cell[1]}_{geometry_sha}"
 
-    JOURNAL_NAME = "journal.jsonl"
 
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory)
+def open_shard_journal(
+    directory: Union[str, Path],
+    base: str,
+    shard_side: int,
+    cells: list,
+    geometry_hashes: list[str],
+    reuse: bool,
+) -> tuple[Journal, dict[int, _ShardRecord]]:
+    """Open a scan's journal; return it with the reusable shards by id.
 
-    def _journal_path(self) -> Path:
-        return self.directory / self.JOURNAL_NAME
+    ``base`` is :func:`scan_base_fingerprint`.  With ``reuse`` every
+    journaled shard whose key (:func:`shard_key`) is in this run's plan
+    comes back, whatever layout the journal was written for — see
+    :func:`shard_geometry_hash` for why that is sound.
+    """
+    journal = Journal(directory)
+    identity = {"version": SCAN_JOURNAL_VERSION, "base": base, "shard_side": shard_side}
+    keys = [shard_key(cell, sha) for (cell, _), sha in zip(cells, geometry_hashes)]
+    return journal, journal.begin(identity, keys, reuse, decode_shard_record)
 
-    def _shard_path(self, shard_id: int) -> Path:
-        return self.directory / f"shard_{shard_id:04d}.npz"
 
-    # ------------------------------------------------------------------
-    def begin(
-        self,
-        fingerprint: str,
-        shards: int,
-        shard_side: int,
-        resume: bool = True,
-        base: Optional[str] = None,
-    ) -> dict[int, _ShardRecord]:
-        """Prepare the journal; return resumable shards by id.
-
-        With ``resume`` and a matching header, previously completed
-        shards are loaded; otherwise stale artifacts are cleared and a
-        fresh header is written.
-        """
-        self._ensure_directory()
-        header, entries = self._read_lines()
-        compatible = (
-            header is not None
-            and header.get("version") == SCAN_JOURNAL_VERSION
-            and header.get("fingerprint") == fingerprint
-            and header.get("shards") == shards
-            and header.get("shard_side") == shard_side
-        )
-        loaded: dict[int, _ShardRecord] = {}
-        if compatible and resume:
-            loaded = self._load_shards(entries, shards)
-            return loaded
-        if header is not None and resume:
-            _log.warning(
-                "journal_fingerprint_mismatch",
-                directory=str(self.directory),
-                expected=fingerprint[:16],
-                found=str(header.get("fingerprint"))[:16],
-            )
-        self._restart(fingerprint, shards, shard_side, base)
-        return loaded
-
-    def begin_incremental(
-        self,
-        fingerprint: str,
-        base: str,
-        shard_meta: list[tuple[tuple[int, int], str]],
-        shard_side: int,
-    ) -> dict[int, _ShardRecord]:
-        """Prepare the journal for an incremental scan.
-
-        ``shard_meta`` is the new run's ``(cell origin, geometry hash)``
-        per shard id.  A previous journal with the same layout-independent
-        ``base`` fingerprint contributes every shard whose cell and
-        geometry hash both match — matching is by *content*, not shard id,
-        because ids shift whenever an edit adds or empties a grid cell.
-        Matched records are re-journaled under their new ids so the run
-        (and any crash/resume of it) continues from a consistent journal.
-        """
-        self._ensure_directory()
-        header, entries = self._read_lines()
-        matched: dict[int, _ShardRecord] = {}
-        if (
-            header is not None
-            and header.get("version") == SCAN_JOURNAL_VERSION
-            and header.get("base") == base
-            and header.get("shard_side") == shard_side
-        ):
-            previous = self._load_shards(entries, int(header.get("shards", 0)))
-            by_content = {
-                (record.cell, record.geometry_sha): record
-                for record in previous.values()
-                if record.cell is not None and record.geometry_sha
-            }
-            for new_id, (cell, geometry_sha) in enumerate(shard_meta):
-                record = by_content.get((cell, geometry_sha))
-                if record is not None:
-                    record.shard_id = new_id
-                    matched[new_id] = record
-        elif header is not None:
-            _log.warning(
-                "journal_base_mismatch",
-                directory=str(self.directory),
-                expected=base[:16],
-                found=str(header.get("base"))[:16],
-            )
-        self._restart(fingerprint, len(shard_meta), shard_side, base)
-        for record in matched.values():
-            self.record(record)
-        return matched
-
-    def _ensure_directory(self) -> None:
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot create journal directory {self.directory}: {exc}"
-            ) from exc
-
-    def _restart(
-        self, fingerprint: str, shards: int, shard_side: int, base: Optional[str]
-    ) -> None:
-        """Clear stale shard artifacts and write a fresh header."""
-        self._clear_shards()
-        payload = {
-            "version": SCAN_JOURNAL_VERSION,
-            "fingerprint": fingerprint,
-            "base": base,
-            "shards": shards,
-            "shard_side": shard_side,
-            "created_unix": time.time(),
-        }
-        try:
-            self._journal_path().write_text(
-                json.dumps(payload) + "\n", encoding="utf-8"
-            )
-        except OSError as exc:
-            raise CheckpointError(f"cannot write scan journal: {exc}") from exc
-
-    def _read_lines(self) -> tuple[Optional[dict], list[dict]]:
-        try:
-            text = self._journal_path().read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None, []
-        except OSError as exc:
-            _log.warning(
-                "journal_unreadable", path=str(self._journal_path()), error=str(exc)
-            )
-            return None, []
-        header: Optional[dict] = None
-        entries: list[dict] = []
-        for line_number, line in enumerate(text.splitlines()):
-            if not line.strip():
-                continue
-            try:
-                document = json.loads(line)
-            except ValueError:
-                # A torn append (crash mid-write) truncates the final
-                # line; that shard is simply re-scanned.
-                _log.warning("journal_torn_line", line=line_number)
-                continue
-            if header is None:
-                header = document
-            else:
-                entries.append(document)
-        return header, entries
-
-    def _load_shards(
-        self, entries: list[dict], shards: int
-    ) -> dict[int, _ShardRecord]:
-        loaded: dict[int, _ShardRecord] = {}
-        for entry in entries:
-            try:
-                shard_id = int(entry["shard"])
-                if not 0 <= shard_id < shards:
-                    raise ValueError(f"shard id {shard_id} out of range")
-                path = self._shard_path(shard_id)
-                with np.load(path) as archive:
-                    loaded[shard_id] = _record_from_archive(archive, shard_id)
-            except (OSError, KeyError, ValueError) as exc:
-                # One corrupt shard costs one shard's rescan, never the
-                # whole resume.
-                _log.warning(
-                    "journal_shard_unreadable",
-                    shard=entry.get("shard"),
-                    error=str(exc),
-                )
-        return loaded
-
-    # ------------------------------------------------------------------
-    def record(self, record: _ShardRecord) -> None:
-        """Atomically persist one completed shard and log it."""
-        path = self._shard_path(record.shard_id)
-        tmp = path.with_suffix(".npz.tmp")
-        try:
-            tmp.write_bytes(encode_shard_record(record))
-            os.replace(tmp, path)
-            with self._journal_path().open("a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(
-                        {
-                            "shard": record.shard_id,
-                            "file": path.name,
-                            "anchors": record.anchor_count,
-                            "candidates": len(record.anchors),
-                            "wall_s": round(record.wall_s, 6),
-                        }
-                    )
-                    + "\n"
-                )
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError as exc:
-            tmp.unlink(missing_ok=True)
-            raise CheckpointError(f"cannot journal shard {path}: {exc}") from exc
-
-    # ------------------------------------------------------------------
-    def completed_ids(self) -> list[int]:
-        """Shard ids with a journal entry and an archive on disk."""
-        _, entries = self._read_lines()
-        out = []
-        for entry in entries:
-            try:
-                shard_id = int(entry["shard"])
-            except (KeyError, ValueError):
-                continue
-            if self._shard_path(shard_id).exists():
-                out.append(shard_id)
-        return sorted(set(out))
-
-    def clear(self) -> None:
-        """Remove every journal artifact (after a successful scan)."""
-        if not self.directory.exists():
-            return
-        self._clear_shards()
-        self._journal_path().unlink(missing_ok=True)
-        try:
-            self.directory.rmdir()
-        except OSError:
-            pass  # directory holds unrelated files; leave it
-
-    def _clear_shards(self) -> None:
-        for pattern in ("shard_*.npz", "shard_*.npz.tmp"):
-            for path in self.directory.glob(pattern):
-                path.unlink(missing_ok=True)
+def journal_shard(journal: Journal, record: _ShardRecord) -> None:
+    """Journal one completed shard (its ``cell`` and hash already set)."""
+    journal.record(
+        shard_key(record.cell, record.geometry_sha),
+        encode_shard_record(record),
+        anchors=record.anchor_count,
+        candidates=len(record.anchors),
+        wall_s=round(record.wall_s, 6),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -688,49 +474,35 @@ def run_sharded_scan(
         shards = [anchors for _, anchors in cells]
         span.set(shards=len(shards))
 
-        journal: Optional[ScanJournal] = None
+        journal: Optional[Journal] = None
         resumed: dict[int, _ShardRecord] = {}
-        reused = 0
         geometry_hashes: list[str] = []
         if options.journal_dir is not None:
-            journal = ScanJournal(options.journal_dir)
-            fingerprint = scan_fingerprint(layout, layer, config, model, shard_side)
-            base = scan_base_fingerprint(layer, config, model, shard_side)
             geometry_hashes = [
                 shard_geometry_hash(
                     layout, layer, cell, shard_side, config.spec.clip_side
                 )
                 for cell, _ in cells
             ]
-            if options.incremental:
-                resumed = journal.begin_incremental(
-                    fingerprint,
-                    base,
-                    list(zip((cell for cell, _ in cells), geometry_hashes)),
-                    shard_side,
-                )
-                reused = len(resumed)
+            journal, resumed = open_shard_journal(
+                options.journal_dir,
+                scan_base_fingerprint(layer, config, model, shard_side),
+                shard_side,
+                cells,
+                geometry_hashes,
+                reuse=options.resume or options.incremental,
+            )
+            if resumed:
                 _log.info(
-                    "scan_incremental",
-                    reused=reused,
+                    "scan_resumed",
+                    shards=len(resumed),
                     of=len(shards),
+                    incremental=options.incremental,
                     directory=str(journal.directory),
                 )
-            else:
-                resumed = journal.begin(
-                    fingerprint,
-                    len(shards),
-                    shard_side,
-                    resume=options.resume,
-                    base=base,
-                )
-                if resumed:
-                    _log.info(
-                        "scan_resumed",
-                        shards=len(resumed),
-                        of=len(shards),
-                        directory=str(journal.directory),
-                    )
+        # The same match is "reused" by an incremental scan and
+        # "resumed" by any other.
+        reused = len(resumed) if options.incremental else 0
 
         completed: dict[int, _ShardRecord] = dict(resumed)
         parts: dict[int, list[_ShardRecord]] = {}
@@ -791,7 +563,7 @@ def run_sharded_scan(
             )
             completed[shard_id] = record
             if journal is not None:
-                journal.record(record)
+                journal_shard(journal, record)
             tally("work.shard", record.wall_s)
 
         def on_result(task: PoolTask, result: _ShardRecord, info=None) -> None:
@@ -873,7 +645,7 @@ def run_sharded_scan(
             )
 
         result = _merge_shards(
-            detector, layout, layer, shards, completed, resumed, quarantine, stats
+            detector, layout, layer, shards, completed, quarantine, stats
         )
         result.shards_reused = reused
         result.shards_resumed = len(resumed) - reused
@@ -890,7 +662,6 @@ def _merge_shards(
     layer: int,
     shards: list,
     completed: dict[int, _ShardRecord],
-    resumed: dict[int, _ShardRecord],
     quarantine: Optional[QuarantineReport],
     stats: PoolStats,
 ) -> ScanResult:
@@ -933,5 +704,4 @@ def _merge_shards(
         quarantined=quarantined,
         stats=stats,
         shards_total=len(shards),
-        shards_resumed=len(resumed),
     )

@@ -3,15 +3,11 @@
 Three families of invariants:
 
 - **Key algebra** — :func:`clip_content_key` must be invariant under
-  translation (always) and under the D8 group exactly when asked for
-  canonical keys; raw keys must distinguish orientations of asymmetric
-  geometry, because a raw-keyed cache may serve any configuration.
-- **Theorem 1 coupling** — D8 key sharing is sound precisely when the
-  pipeline is orientation-blind: canonically-keyed clips that collide
-  share a topological classification (``canonical_string_key``) and
-  extract identical features under ``canonical_orientation``; with a
-  density grid the extraction sees orientation and
-  :func:`cache_canonical` correctly refuses.
+  translation and must distinguish orientations of asymmetric geometry,
+  because the cache serves every configuration.
+- **Theorem 1 coupling** — extraction under ``canonical_orientation``
+  is orientation-blind, while a density grid sees orientation; raw keys
+  are sound for both.
 - **Disk integrity** — a corrupted, truncated or forged blob is
   detected, counted, and treated as a miss; it is *never* decoded into
   a served value.  Round-tripped values are bit-identical.
@@ -23,13 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import HotspotCache, cache_canonical, clip_content_key
+from repro.cache import HotspotCache, clip_content_key
 from repro.cache.keys import feature_fingerprint
 from repro.features.vector import FeatureConfig, FeatureExtractor
 from repro.geometry.rect import Rect
 from repro.geometry.transform import ALL_ORIENTATIONS
 from repro.layout.clip import Clip, ClipSpec
-from repro.topology.strings import canonical_string_key
 
 SPEC = ClipSpec(core_side=400, clip_side=1200)
 
@@ -53,26 +48,15 @@ def clips(draw):
 
 
 class TestKeyAlgebra:
-    @given(clips(), offsets, offsets, st.booleans())
+    @given(clips(), offsets, offsets)
     @settings(max_examples=60, deadline=None)
-    def test_translation_invariance(self, clip, dx, dy, canonical):
+    def test_translation_invariance(self, clip, dx, dy):
         moved = Clip.build(
             clip.window.translated(dx, dy),
             clip.spec,
             [r.translated(dx, dy) for r in clip.rects],
         )
-        assert clip_content_key(clip, canonical=canonical) == clip_content_key(
-            moved, canonical=canonical
-        )
-
-    @given(clips())
-    @settings(max_examples=40, deadline=None)
-    def test_canonical_keys_identify_all_eight_orientations(self, clip):
-        keys = {
-            clip_content_key(clip.oriented(o), canonical=True)
-            for o in ALL_ORIENTATIONS
-        }
-        assert len(keys) == 1
+        assert clip_content_key(clip) == clip_content_key(moved)
 
     def test_raw_keys_distinguish_orientations(self):
         # An L-shape: no nontrivial D8 symmetry, so each orientation has
@@ -80,10 +64,7 @@ class TestKeyAlgebra:
         rects = [Rect(0, 0, 100, 500), Rect(100, 0, 400, 100)]
         window = Rect(0, 0, SPEC.clip_side, SPEC.clip_side)
         clip = Clip.build(window, SPEC, rects)
-        keys = {
-            clip_content_key(clip.oriented(o), canonical=False)
-            for o in ALL_ORIENTATIONS
-        }
+        keys = {clip_content_key(clip.oriented(o)) for o in ALL_ORIENTATIONS}
         assert len(keys) == 8
 
     @given(clips())
@@ -97,9 +78,7 @@ class TestKeyAlgebra:
         )
         if grown.rects == clip.rects:  # the new rect merged into cover
             return
-        assert clip_content_key(clip, canonical=False) != clip_content_key(
-            grown, canonical=False
-        )
+        assert clip_content_key(clip) != clip_content_key(grown)
 
     def test_key_depends_on_spec(self):
         # Same geometry under a different core/ambit split must not
@@ -125,38 +104,18 @@ class TestKeyAlgebra:
             Rect(-2900, 7500, -2800, 7600),
         ]
         clip = Clip.build(window, SPEC, rects)
-        assert clip_content_key(clip, canonical=False) == (
+        assert clip_content_key(clip) == (
             "8099c493ce70191770417962fdbdc011663386c17babd61f4787cf4a5f4e3950"
-        )
-        assert clip_content_key(clip, canonical=True) == (
-            "56b6f7d88ba4568eeefad80aa4d805ba5004a78d763d95d7a8ba31b4d93cce92"
         )
 
 
 class TestTheoremOneCoupling:
-    """D8 sharing is sound exactly when classification is D8-blind."""
-
-    @given(clips())
-    @settings(max_examples=25, deadline=None)
-    def test_canonical_collision_implies_same_topology_class(self, clip):
-        # Orientations collide under canonical keys, and the topological
-        # classifier (canonical string key, Theorem 1) agrees they are
-        # one pattern — so serving one's features for the other is sound.
-        base_key = clip_content_key(clip, canonical=True)
-        base_topo = canonical_string_key(list(clip.rects), clip.window)
-        for orientation in ALL_ORIENTATIONS:
-            oriented = clip.oriented(orientation)
-            assert clip_content_key(oriented, canonical=True) == base_key
-            assert (
-                canonical_string_key(list(oriented.rects), oriented.window)
-                == base_topo
-            )
+    """Extraction is D8-blind exactly when no density grid is sampled."""
 
     @given(clips())
     @settings(max_examples=15, deadline=None)
     def test_orientation_blind_extraction_matches_key_sharing(self, clip):
         config = FeatureConfig(region="clip", canonical_orientation=True)
-        assert cache_canonical(config)
         extractor = FeatureExtractor(config)
         reference = extractor.extract(clip)
         for orientation in ALL_ORIENTATIONS:
@@ -164,11 +123,10 @@ class TestTheoremOneCoupling:
             assert features.rules == reference.rules
             assert features.nontopo == reference.nontopo
 
-    def test_density_grid_breaks_soundness_and_predicate_refuses(self):
+    def test_density_grid_sees_orientation(self):
+        # The grid genuinely differs between the orientations of one
+        # pattern, which is why cache keys never identify orientations.
         config = FeatureConfig(region="clip", include_density_grid=True)
-        assert not cache_canonical(config)
-        # And rightly so: the grid genuinely differs between orientations
-        # that share a canonical key.
         rects = [Rect(0, 0, 100, 500), Rect(100, 0, 400, 100)]
         window = Rect(0, 0, SPEC.clip_side, SPEC.clip_side)
         clip = Clip.build(window, SPEC, rects)
@@ -180,8 +138,8 @@ class TestTheoremOneCoupling:
         assert len(grids) > 1
 
     def test_raw_keys_sound_for_every_config(self):
-        # The predicate refusing D8 never refuses raw keys: identical raw
-        # geometry extracts identically even with the grid enabled.
+        # Identical raw geometry extracts identically even with the grid
+        # enabled.
         config = FeatureConfig(region="clip", include_density_grid=True)
         extractor = FeatureExtractor(config)
         rects = [Rect(50, 50, 250, 450), Rect(300, 700, 900, 760)]
@@ -192,9 +150,7 @@ class TestTheoremOneCoupling:
             SPEC,
             [r.translated(2400, -1200) for r in rects],
         )
-        assert clip_content_key(a, canonical=False) == clip_content_key(
-            b, canonical=False
-        )
+        assert clip_content_key(a) == clip_content_key(b)
         fa, fb = extractor.extract(a), extractor.extract(b)
         assert fa.rules == fb.rules and fa.nontopo == fb.nontopo
         assert np.array_equal(fa.grid, fb.grid)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.cache import HotspotCache
 from repro.core.config import DetectorConfig
 from repro.core.detector import HotspotDetector
 from repro.core.persist import save_detector
+from repro.errors import ReproError
 from repro.geometry.rect import Rect
 from repro.layout.io import save_layout_gds
 from repro.layout.layout import Layout
@@ -139,6 +141,11 @@ class TestIncrementalBitIdentical:
             )
             first = detached.detect(layout, work=options)
             assert first.shards_reused == 0
+            payloads = sorted(options.journal_dir.glob("*.npz"))
+            assert len(payloads) == first.shards_total
+            stamps = [
+                (path.stat().st_ino, path.stat().st_mtime_ns) for path in payloads
+            ]
             # Same geometry, rebuilt object: every shard hash matches.
             rebuilt = copy_layout(layout, 1)
             second = detached.detect(rebuilt, work=options)
@@ -147,6 +154,11 @@ class TestIncrementalBitIdentical:
             assert_identical(
                 signature(detached, first), signature(detached, second)
             )
+            # Reuse reads the journaled shards; it rewrites none of them.
+            assert sorted(options.journal_dir.glob("*.npz")) == payloads
+            assert [
+                (path.stat().st_ino, path.stat().st_mtime_ns) for path in payloads
+            ] == stamps
 
     def test_real_edit_recomputes_only_touched_shards(
         self, detached, small_benchmark, tmp_path
@@ -168,6 +180,22 @@ class TestIncrementalBitIdentical:
             assert 0 < incremental.shards_reused < incremental.shards_total
             assert_identical(
                 signature(detached, fresh), signature(detached, incremental)
+            )
+
+            # Resume mode: a scan of the layout interrupted after two
+            # journaled shards (one of them in the edited cell) finishes
+            # on the edited layout, reusing what the edit did not touch.
+            options = ScanOptions(
+                workers=workers, journal_dir=tmp_path / f"resume-{workers}"
+            )
+            with faults.active("work.shard=error:1@2!1"):
+                with pytest.raises(ReproError, match="injected"):
+                    detached.detect(layout, work=options)
+            resumed = detached.detect(edited, work=replace(options, resume=True))
+            assert 0 < resumed.shards_resumed < resumed.shards_total
+            assert resumed.shards_reused == 0
+            assert_identical(
+                signature(detached, fresh), signature(detached, resumed)
             )
 
     def test_incremental_requires_journal_dir(self, detached, small_benchmark):

@@ -73,6 +73,19 @@ class TestSweep:
         with pytest.raises(NotFittedError):
             sweep_thresholds(HotspotDetector(), small_benchmark.testing)
 
+    def test_point_at_detector_threshold_matches_detect(self, ambit_benchmark):
+        # The feedback kernel refines the flag set; the sweep must apply
+        # it exactly as detect() does, or its points disagree with scans.
+        detector = HotspotDetector(DetectorConfig.ours())
+        detector.fit(ambit_benchmark.training)
+        assert detector.feedback_ is not None
+        threshold = detector.config.decision_threshold
+        (point,) = sweep_thresholds(
+            detector, ambit_benchmark.testing, thresholds=(threshold,)
+        )
+        score = detector.score(ambit_benchmark.testing).score
+        assert (point.score.hits, point.score.extras) == (score.hits, score.extras)
+
     def test_knee_point_selection(self):
         def pt(threshold, hits, extras, actual=10):
             return CurvePoint(

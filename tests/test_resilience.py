@@ -20,7 +20,12 @@ import repro
 from repro.cli import main as cli_main
 from repro.core.config import DetectorConfig
 from repro.core.detector import HotspotDetector
-from repro.core.persist import save_detector
+from repro.core.persist import (
+    decode_kernel_payload,
+    encode_kernel_payload,
+    save_detector,
+)
+from repro.core.training import train_multi_kernel
 from repro.errors import (
     CheckpointError,
     CircuitOpenError,
@@ -44,15 +49,16 @@ from repro.layout.io import (
 )
 from repro.resilience import (
     BreakerConfig,
-    CheckpointStore,
     CircuitBreaker,
     Deadline,
+    Journal,
     QuarantineReport,
     RetryPolicy,
     call_with_retry,
     faults,
     training_fingerprint,
 )
+from repro.resilience.checkpoint import CHECKPOINT_VERSION
 from repro.resilience.faults import FaultPlan
 
 SRC_DIR = Path(repro.__file__).resolve().parents[1]
@@ -478,74 +484,105 @@ class TestCheckpointResume:
         )
 
     def test_begin_clears_on_fingerprint_mismatch(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt")
-        store.begin("aaaa", kernels=4)
-        (tmp_path / "ckpt" / "kernel_0001.npz").write_bytes(b"junk")
-        assert store.completed_indices() == [1]
-        loaded = store.begin("bbbb", kernels=4)
+        keys = ["0", "1", "2", "3"]
+        store = Journal(tmp_path / "ckpt")
+        store.begin({"fingerprint": "aaaa"}, keys, True, decode_kernel_payload)
+        store.record("1", b"junk")
+        assert store.completed() == ["1"]
+        loaded = store.begin(
+            {"fingerprint": "bbbb"}, keys, True, decode_kernel_payload
+        )
         assert loaded == {}
-        assert store.completed_indices() == []
+        assert store.completed() == []
+        assert sorted(path.name for path in (tmp_path / "ckpt").iterdir()) == [
+            "journal.jsonl"
+        ]
 
-    def test_corrupt_checkpoint_file_costs_one_kernel(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt")
-        store.begin("aaaa", kernels=4)
-        (tmp_path / "ckpt" / "kernel_0002.npz").write_bytes(b"not an npz")
-        loaded = store.begin("aaaa", kernels=4, resume=True)
-        assert loaded == {}  # unreadable file skipped, not fatal
+    def test_corrupt_checkpoint_file_costs_one_kernel(
+        self, small_benchmark, tmp_path
+    ):
+        kernel = train_multi_kernel(
+            small_benchmark.training, DetectorConfig.basic()
+        ).kernels[0]
+        keys = ["0", "1", "2", "3", "4"]
+        store = Journal(tmp_path / "ckpt")
+        store.begin({"fingerprint": "aaaa"}, keys, True, decode_kernel_payload)
+        store.record("0", encode_kernel_payload(kernel))
+        store.record("1", encode_kernel_payload(kernel))  # cluster 0, not 1
+        store.record("2", b"not an npz")
+        store.record("3", encode_kernel_payload(kernel)[:200])  # truncated
+        with (tmp_path / "ckpt" / "journal.jsonl").open("a") as handle:
+            handle.write('{"key": "4", "fi')  # torn append
+        loaded = store.begin(
+            {"fingerprint": "aaaa"}, keys, True, decode_kernel_payload
+        )
+        # Each bad unit is skipped, not fatal; the good one survives intact.
+        assert list(loaded) == [0]
+        assert loaded[0].hotspot_count == kernel.hotspot_count
+        assert np.array_equal(
+            loaded[0].model.support_vectors_, kernel.model.support_vectors_
+        )
+        assert store.completed() == ["0"]
 
     def test_interrupted_fit_resumes_identically(self, small_benchmark, tmp_path):
         config = DetectorConfig.ours()
-        store = CheckpointStore(tmp_path / "ckpt")
+        store = Journal(tmp_path / "ckpt")
         with faults.active("train.kernel=error@2!1"):
             with pytest.raises(TransientError):
                 HotspotDetector(config).fit(
                     small_benchmark.training, checkpoint=store
                 )
-        completed = store.completed_indices()
+        completed = store.completed()
         assert len(completed) >= 1
 
         calls = {"n": 0}
-        original = CheckpointStore.save_kernel
+        original = Journal.record
 
-        def counting(self, index, kernel):
+        def counting(self, key, payload, **summary):
             calls["n"] += 1
-            return original(self, index, kernel)
+            return original(self, key, payload, **summary)
 
         resumed = HotspotDetector(config)
         try:
-            CheckpointStore.save_kernel = counting
-            resumed.fit(small_benchmark.training, checkpoint=store, resume=True)
+            Journal.record = counting
+            report = resumed.fit(
+                small_benchmark.training, checkpoint=store, resume=True
+            )
         finally:
-            CheckpointStore.save_kernel = original
+            Journal.record = original
         fresh = HotspotDetector(config)
         fresh.fit(small_benchmark.training)
         kernels = len(fresh.model_.kernels)
         # Completed kernels were reused, and the resumed model is
         # indistinguishable from one trained in a single pass.
+        assert report.resumed_kernels == len(completed)
         assert calls["n"] == kernels - len(completed)
         probe = list(small_benchmark.training)[:8]
         assert np.allclose(resumed.margins(probe), fresh.margins(probe))
 
     def test_resume_false_retrains_everything(self, small_benchmark, tmp_path):
         config = DetectorConfig.ours()
-        store = CheckpointStore(tmp_path / "ckpt")
+        store = Journal(tmp_path / "ckpt")
         detector = HotspotDetector(config)
         detector.fit(small_benchmark.training, checkpoint=store)
         kernels = len(detector.model_.kernels)
-        assert len(store.completed_indices()) == kernels
-        loaded = store.begin(
-            training_fingerprint(small_benchmark.training, config),
-            kernels,
-            resume=False,
-        )
+        assert len(store.completed()) == kernels
+        identity = {
+            "version": CHECKPOINT_VERSION,
+            "fingerprint": training_fingerprint(small_benchmark.training, config),
+        }
+        keys = [str(index) for index in range(kernels)]
+        # The identity matches: with reuse every kernel would come back.
+        assert len(store.begin(identity, keys, True, decode_kernel_payload)) == kernels
+        loaded = store.begin(identity, keys, False, decode_kernel_payload)
         assert loaded == {}
-        assert store.completed_indices() == []
+        assert store.completed() == []
 
     def test_deadline_interrupts_training(self, small_benchmark, tmp_path):
         clock = FakeClock()
         deadline = Deadline(5.0, clock=clock)
         clock.advance(6.0)
-        store = CheckpointStore(tmp_path / "ckpt")
+        store = Journal(tmp_path / "ckpt")
         with pytest.raises(StageTimeout):
             HotspotDetector(DetectorConfig.ours()).fit(
                 small_benchmark.training, checkpoint=store, deadline=deadline
@@ -730,23 +767,24 @@ class TestCliResilience:
         assert quarantine["total"] == manifest["metrics"]["quarantined"]
         assert "quarantined" in capsys.readouterr().out
 
-    def test_sigterm_mid_train_resumes(self, workdir):
-        """A train killed by SIGTERM mid-run resumes via --resume."""
-        model = workdir / "resumable.npz"
+    @staticmethod
+    def _train_killed_after_first_kernel(workdir, model):
+        """Run ``repro train --variant ours`` and SIGTERM it once the
+        first kernel is journaled; return the checkpoint directory."""
         script = textwrap.dedent(
             f"""
             import os, signal, sys
             sys.path.insert(0, {str(SRC_DIR)!r})
             from repro.cli import main
-            from repro.resilience.checkpoint import CheckpointStore
+            from repro.resilience.checkpoint import Journal
 
-            original = CheckpointStore.save_kernel
+            original = Journal.record
 
-            def killing_save(self, index, kernel):
-                original(self, index, kernel)
+            def killing_record(self, key, payload, **summary):
+                original(self, key, payload, **summary)
                 os.kill(os.getpid(), signal.SIGTERM)
 
-            CheckpointStore.save_kernel = killing_save
+            Journal.record = killing_record
             sys.exit(main([
                 "train",
                 "--clips", {str(workdir / "clips.gds")!r},
@@ -764,7 +802,13 @@ class TestCliResilience:
         )
         assert result.returncode == -signal.SIGTERM, result.stderr
         checkpoint_dir = model.with_suffix(".ckpt")
-        assert CheckpointStore(checkpoint_dir).completed_indices() == [0]
+        assert Journal(checkpoint_dir).completed() == ["0"]
+        return checkpoint_dir
+
+    def test_sigterm_mid_train_resumes(self, workdir):
+        """A train killed by SIGTERM mid-run resumes via --resume."""
+        model = workdir / "resumable.npz"
+        checkpoint_dir = self._train_killed_after_first_kernel(workdir, model)
 
         assert (
             cli_main(
@@ -783,6 +827,33 @@ class TestCliResilience:
         assert manifest["metrics"]["resumed_kernels"] == 1
         assert model.exists()
         assert not checkpoint_dir.exists()  # cleared after success
+
+    def test_resume_under_another_config_reports_no_resumed_kernels(
+        self, workdir, capsys
+    ):
+        """The journaled kernel belongs to ``ours``; resuming as ``basic``
+        discards it, and the CLI must not claim it was resumed."""
+        model = workdir / "switched.npz"
+        checkpoint_dir = self._train_killed_after_first_kernel(workdir, model)
+
+        capsys.readouterr()
+        assert (
+            cli_main(
+                [
+                    "train",
+                    "--clips", str(workdir / "clips.gds"),
+                    "--model", str(model),
+                    "--variant", "basic",
+                    "--resume",
+                    "--manifest", str(workdir / "switched.manifest.json"),
+                ]
+            )
+            == 0
+        )
+        assert "resumed" not in capsys.readouterr().out
+        manifest = json.loads((workdir / "switched.manifest.json").read_text())
+        assert manifest["metrics"]["resumed_kernels"] == 0
+        assert not checkpoint_dir.exists()
 
     def test_no_checkpoint_flag_leaves_no_directory(self, workdir):
         model = workdir / "plain.npz"

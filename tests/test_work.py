@@ -8,9 +8,11 @@ subprocess and SIGKILLs it mid-scan via an injected fault plan.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pickle
+import shutil
 import signal
 import subprocess
 import sys
@@ -33,13 +35,15 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.layout.io import save_layout_gds
-from repro.resilience import QuarantineReport, faults
+from repro.obs import configure_logging
+from repro.resilience import Journal, QuarantineReport, faults
 from repro.work import (
     PoolConfig,
     PoolTask,
-    ScanJournal,
     ScanOptions,
     SupervisedPool,
+    decode_shard_record,
+    encode_shard_record,
     scan_fingerprint,
     shard_cells,
 )
@@ -358,7 +362,7 @@ class TestShardedScan:
                         layout,
                         work=ScanOptions(workers=workers, journal_dir=journal_dir),
                     )
-            completed = ScanJournal(journal_dir).completed_ids()
+            completed = Journal(journal_dir).completed()
             assert completed, "aborted run should leave journaled shards"
 
             resumed = fitted.detect(
@@ -370,22 +374,64 @@ class TestShardedScan:
             assert resumed.shards_resumed == len(completed)
             assert _cores(resumed) == _cores(serial_report)
             # The journal clears after success, like training checkpoints.
-            assert ScanJournal(journal_dir).completed_ids() == []
+            assert Journal(journal_dir).completed() == []
 
     def test_mismatched_journal_is_discarded(
-        self, fitted, small_benchmark, tmp_path
+        self, fitted, small_benchmark, serial_report, tmp_path
     ):
         layout = small_benchmark.testing.layout
-        journal_dir = tmp_path / "journal"
-        journal = ScanJournal(journal_dir)
-        journal.begin("0" * 64, shards=7, shard_side=100, resume=False)
-        result = fitted.detect(
+        poisoned = tmp_path / "poisoned"
+        # A complete journal of this very scan ...
+        fitted.detect(
             layout,
-            work=ScanOptions(
-                workers=2, journal_dir=journal_dir, resume=True
-            ),
+            work=ScanOptions(workers=0, journal_dir=poisoned, keep_journal=True),
         )
-        assert result.shards_resumed == 0
+        header, *units = (poisoned / "journal.jsonl").read_text().splitlines()
+        identity = json.loads(header)["identity"]
+        # ... whose payloads would flag every candidate if mixed in.
+        for path in poisoned.glob("unit_*.npz"):
+            record = decode_shard_record(path.read_bytes(), 0)
+            record.margins = record.margins + 100.0
+            path.write_bytes(encode_shard_record(record))
+        stale_headers = {
+            "own identity": {"identity": identity},
+            "old layout": {
+                "version": 2,
+                "fingerprint": "0" * 64,
+                "base": identity["base"],
+                "shards": len(units),
+                "shard_side": identity["shard_side"],
+            },
+            "another base": {"identity": {**identity, "base": "0" * 64}},
+            "another shard side": {
+                "identity": {**identity, "shard_side": 2 * identity["shard_side"]}
+            },
+        }
+        for name, stale in stale_headers.items():
+            journal_dir = tmp_path / name.replace(" ", "-")
+            shutil.copytree(poisoned, journal_dir)
+            (journal_dir / "journal.jsonl").write_text(
+                "\n".join([json.dumps(stale), *units]) + "\n"
+            )
+            log = io.StringIO()
+            configure_logging(stream=log, level="warning")
+            try:
+                result = fitted.detect(
+                    layout,
+                    work=ScanOptions(workers=0, journal_dir=journal_dir, resume=True),
+                )
+            finally:
+                configure_logging(enabled=False)
+            warned = "journal_identity_mismatch" in log.getvalue()
+            if name == "own identity":
+                # The control: this journal really is poison when reused.
+                assert result.shards_resumed == result.shards_total, name
+                assert _cores(result) != _cores(serial_report), name
+                assert not warned, name
+            else:
+                assert result.shards_resumed == 0, name
+                assert _cores(result) == _cores(serial_report), name
+                assert warned, name
 
     def test_poison_anchor_is_quarantined_not_fatal(
         self, fitted, small_benchmark, serial_report
