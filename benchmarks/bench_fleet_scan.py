@@ -4,7 +4,7 @@ Times the same fleet scan (in-process :class:`FleetCoordinator`, real
 ``repro fleet-worker`` subprocesses — exactly what ``repro fleet-scan``
 supervises) at 1, 2 and 4 workers, then twice more against a shared
 remote cache node (cold, then warm).  Every run must report the
-bit-identical hotspot set to a single-node thread-backend scan.
+bit-identical hotspot set to a single-node in-process scan.
 
 Recorded in ``BENCH_fleet_scan.json``:
 

@@ -34,7 +34,7 @@ from repro.obs import get_logger, trace
 from repro.core.feedback import FeedbackKernel, train_feedback_kernel
 from repro.core.metrics import DetectionScore, score_reports
 from repro.core.removal import remove_redundant_clips
-from repro.core.training import MultiKernelModel, train_multi_kernel
+from repro.core.training import MultiKernelModel, _train_multi_kernel
 from repro.data.synth import TestingLayout
 from repro.errors import NotFittedError, ReproError
 from repro.layout.clip import Clip, ClipLabel, ClipSet
@@ -182,15 +182,16 @@ class HotspotDetector:
         """
         started = time.perf_counter()
         with trace("detector.fit", clips=len(training)) as span:
-            self.model_ = train_multi_kernel(
+            self.model_, centroid_features = _train_multi_kernel(
                 training,
                 self.config,
+                classifier=None,
                 checkpoint=checkpoint,
                 deadline=deadline,
                 resume=resume,
             )
             self.feedback_ = (
-                train_feedback_kernel(self.model_, self.config)
+                train_feedback_kernel(self.model_, self.config, centroid_features)
                 if self.config.use_feedback
                 else None
             )

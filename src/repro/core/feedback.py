@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.config import DetectorConfig
 from repro.core.resample import balancing_class_weights
 from repro.core.training import HOTSPOT, NON_HOTSPOT, MultiKernelModel
-from repro.features.vector import FeatureConfig, FeatureExtractor, FeatureSchema
+from repro.features.vector import ExtractedFeatures, FeatureExtractor, FeatureSchema
 from repro.layout.clip import Clip
 from repro.obs import trace
 from repro.svm.grid_search import IterativeConfig, train_iterative
@@ -95,27 +95,31 @@ def _ambit_classifier(config: DetectorConfig) -> TopologicalClassifier:
 def train_feedback_kernel(
     model: MultiKernelModel,
     config: DetectorConfig,
+    centroid_features: Optional[Sequence[ExtractedFeatures]] = None,
 ) -> Optional[FeedbackKernel]:
     """Self-evaluate and train the feedback kernel; ``None`` when clean.
 
     Returns ``None`` when self-evaluation produces no extras — then there
     is nothing for a feedback kernel to learn and evaluation skips the
-    stage entirely.
+    stage entirely.  ``centroid_features`` are the model's own extractions
+    of its nonhotspot centroids, in order, when training already made
+    them; without them the self-evaluation extracts the centroids again.
     """
     with trace("train.feedback", centroids=len(model.nonhotspot_centroids)) as span:
-        return _train_feedback_kernel(model, config, span)
+        return _train_feedback_kernel(model, config, centroid_features, span)
 
 
 def _train_feedback_kernel(
     model: MultiKernelModel,
     config: DetectorConfig,
+    centroid_features: Optional[Sequence[ExtractedFeatures]],
     span,
 ) -> Optional[FeedbackKernel]:
     centroids = model.nonhotspot_centroids
     if not centroids:
         span.set(trained=False, reason="no centroids")
         return None
-    per_kernel = model.kernel_margins(centroids)
+    per_kernel = model._kernel_margins_uncached(centroids, centroid_features)
     flagged_any = per_kernel.max(axis=1) >= 0.0 if per_kernel.size else np.zeros(0, bool)
     extras = [clip for clip, bad in zip(centroids, flagged_any) if bad]
     if not extras:
@@ -147,7 +151,7 @@ def _train_feedback_kernel(
     labels = np.array(
         [HOTSPOT] * len(hotspot_clips) + [NON_HOTSPOT] * len(nonhotspot_clips)
     )
-    matrix, schema = extractor.build_matrix(clips)
+    matrix, schema = extractor.build_matrix([extractor.extract(clip) for clip in clips])
     weights = balancing_class_weights(len(hotspot_clips), len(nonhotspot_clips))
     svm = config.svm
     result = train_iterative(

@@ -6,6 +6,11 @@ cluster, so it concentrates on the critical features specific to that
 topology.  Kernels are independent; the paper trains them on threads
 (Section III-G), but under the GIL threads measured slower than this
 serial loop, so kernels train one after another.
+
+Every kernel trains against the same centroids, so a fit extracts them
+once, before the first kernel, and each kernel's matrix and the feedback
+self-evaluation (:mod:`repro.core.feedback`) reuse those extractions: a
+fit extracts each training clip once.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from repro.core.resample import (
     shift_derivatives,
 )
 from repro.errors import SvmError
-from repro.features.vector import FeatureExtractor, FeatureSchema
+from repro.features.vector import ExtractedFeatures, FeatureExtractor, FeatureSchema
 from repro.layout.clip import Clip, ClipSet
 from repro.obs import trace
 from repro.resilience import faults
@@ -170,7 +175,13 @@ class MultiKernelModel:
             [clip_content_key(clip) for clip in clips],
         )
 
-    def _kernel_margins_uncached(self, clips: Sequence[Clip]) -> np.ndarray:
+    def _kernel_margins_uncached(
+        self,
+        clips: Sequence[Clip],
+        extractions: Optional[Sequence[ExtractedFeatures]] = None,
+    ) -> np.ndarray:
+        """Margins computed from scratch; ``extractions`` are ``clips``' own
+        features when the caller already holds them (training does)."""
         margins = np.full((len(clips), len(self.kernels)), GATED_OUT)
 
         gated = any(kernel.key_set is not None for kernel in self.kernels)
@@ -188,9 +199,10 @@ class MultiKernelModel:
             accept.append(wanted)
             needed.update(wanted)
 
-        extractions = {
-            i: self.extractor.extract(clips[i]) for i in sorted(needed)
-        }
+        if extractions is None:
+            extractions = {
+                i: self.extractor.extract(clips[i]) for i in sorted(needed)
+            }
         for k, kernel in enumerate(self.kernels):
             wanted = accept[k]
             if not wanted:
@@ -231,7 +243,7 @@ def _single_cluster(clips: Sequence[Clip]) -> Cluster:
 def _train_one_kernel(
     cluster_index: int,
     cluster_hotspots: list[Clip],
-    nonhotspot_centroids: list[Clip],
+    centroid_features: list[ExtractedFeatures],
     extractor: FeatureExtractor,
     svm_config: IterativeConfig,
     gate: bool,
@@ -241,16 +253,17 @@ def _train_one_kernel(
     # gate, plus every nonhotspot sharing no key (kept out by gating
     # anyway); restricting to gate-compatible centroids would starve small
     # kernels of negatives, so all centroids participate.
-    clips = cluster_hotspots + nonhotspot_centroids
+    extractions = [extractor.extract(clip) for clip in cluster_hotspots]
+    extractions += centroid_features
     labels = np.array(
-        [HOTSPOT] * len(cluster_hotspots) + [NON_HOTSPOT] * len(nonhotspot_centroids)
+        [HOTSPOT] * len(cluster_hotspots) + [NON_HOTSPOT] * len(centroid_features)
     )
-    matrix, schema = extractor.build_matrix(clips)
+    matrix, schema = extractor.build_matrix(extractions)
     # Population balancing (Section III-D3): the residual imbalance after
     # resampling is absorbed by per-class C weights, biased toward the
     # hotspot class — accuracy is the primary objective, extras secondary.
     weights = svm_config.class_weight or balancing_class_weights(
-        len(cluster_hotspots), len(nonhotspot_centroids)
+        len(cluster_hotspots), len(centroid_features)
     )
     config = IterativeConfig(
         initial_c=svm_config.initial_c,
@@ -266,7 +279,7 @@ def _train_one_kernel(
         "train.kernel",
         cluster=cluster_index,
         hotspots=len(cluster_hotspots),
-        nonhotspots=len(nonhotspot_centroids),
+        nonhotspots=len(centroid_features),
     ) as span:
         result = train_iterative(matrix, labels, config)
         span.set(rounds=len(result.history))
@@ -287,7 +300,7 @@ def _train_one_kernel(
         model=result.model,
         history=result.history,
         hotspot_count=len(cluster_hotspots),
-        nonhotspot_count=len(nonhotspot_centroids),
+        nonhotspot_count=len(centroid_features),
         key_set=key_set,
     )
 
@@ -320,6 +333,32 @@ def train_multi_kernel(
     completed kernels have checkpointed, so the timeout itself is
     resumable.  Stages 1-3 are cheap and deterministic; they re-run on
     every resume.
+    """
+    model, _ = _train_multi_kernel(
+        training,
+        config,
+        classifier=classifier,
+        checkpoint=checkpoint,
+        deadline=deadline,
+        resume=resume,
+    )
+    return model
+
+
+def _train_multi_kernel(
+    training: ClipSet,
+    config: DetectorConfig,
+    classifier: Optional[TopologicalClassifier],
+    checkpoint,
+    deadline,
+    resume: bool,
+) -> tuple[MultiKernelModel, Optional[list[ExtractedFeatures]]]:
+    """:func:`train_multi_kernel`, plus the centroid extractions it made.
+
+    Every kernel's matrix ends in the same nonhotspot centroids, so they
+    are extracted once, before the first kernel trains, and the list is
+    returned for the feedback self-evaluation to reuse.  It is ``None``
+    when the journal supplied every kernel and nothing was extracted.
     """
     hotspots, nonhotspots = training.split()
     if not hotspots or not nonhotspots:
@@ -384,17 +423,25 @@ def train_multi_kernel(
     resumed = len(done)
     pending = [(index, members) for index, members in jobs if index not in done]
 
+    centroid_features = (
+        [extractor.extract(clip) for clip in centroids] if pending else None
+    )
     with trace("train.kernels", kernels=len(jobs), resumed=resumed):
         for index, members in pending:
             if deadline is not None:
                 deadline.check("train.kernels")
             done[index] = _train_one_kernel(
-                index, members, centroids, extractor, config.svm, config.use_topology
+                index,
+                members,
+                centroid_features,
+                extractor,
+                config.svm,
+                config.use_topology,
             )
             if checkpoint is not None:
                 checkpoint.record(str(index), encode_kernel_payload(done[index]))
     kernels = [done[index] for index, _ in jobs]
-    return MultiKernelModel(
+    model = MultiKernelModel(
         kernels=kernels,
         hotspot_clips=upsampled,
         hotspot_clusters=hotspot_clusters,
@@ -403,3 +450,4 @@ def train_multi_kernel(
         classifier=classifier,
         resumed_kernels=resumed,
     )
+    return model, centroid_features

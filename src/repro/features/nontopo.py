@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.geometry.grid import window_density
+from repro.geometry.grid import lattice_coverage, window_density
 from repro.geometry.rect import Rect
-from repro.mtcg.tiles import Tiling, horizontal_tiling, vertical_tiling
+from repro.mtcg.tiles import Tiling, window_tilings
 
 
 @dataclass(frozen=True)
@@ -56,26 +56,17 @@ class NonTopoFeatures:
 NONTOPO_SLOTS = 5
 
 
-def _quadrant_coverage(rects: Sequence[Rect], x: int, y: int) -> tuple[bool, ...]:
-    """Coverage of the four unit cells around lattice vertex ``(x, y)``.
-
-    Order: (SW, SE, NW, NE).  A cell is covered when any rectangle contains
-    it; cells are unit-sized probes, valid because all geometry is on the
-    integer lattice.
-    """
-
-    def covered(cx: int, cy: int) -> bool:
-        return any(r.x0 <= cx < r.x1 and r.y0 <= cy < r.y1 for r in rects)
-
-    return (covered(x - 1, y - 1), covered(x, y - 1), covered(x - 1, y), covered(x, y))
-
-
 def corner_and_touch_counts(rects: Sequence[Rect], window: Optional[Rect] = None) -> tuple[int, int]:
     """Corner count and touched-point count of the rectangle union.
 
     Only vertices strictly inside ``window`` (when given) are counted, so
     window clipping does not manufacture corners at the clip boundary.
+    Every rect corner is a candidate vertex, and each unit cell around it
+    is covered exactly when the cell of the rects' own lattice
+    (:func:`~repro.geometry.grid.lattice_coverage`) holding it is.
     """
+    x_index, y_index, grid = lattice_coverage(rects)
+    covered = grid.tolist()
     candidates: set[tuple[int, int]] = set()
     for rect in rects:
         candidates.update(
@@ -88,8 +79,10 @@ def corner_and_touch_counts(rects: Sequence[Rect], window: Optional[Rect] = None
             window.x0 < x < window.x1 and window.y0 < y < window.y1
         ):
             continue
-        sw, se, nw, ne = _quadrant_coverage(rects, x, y)
-        count = sum((sw, se, nw, ne))
+        i, j = x_index[x], y_index[y]
+        sw, nw = covered[i][j], covered[i][j + 1]
+        se, ne = covered[i + 1][j], covered[i + 1][j + 1]
+        count = sw + se + nw + ne
         if count in (1, 3):
             corners += 1
         elif count == 2 and sw == ne and se == nw and sw != se:
@@ -118,18 +111,30 @@ def min_spacing_from_tilings(
     """
 
     def between_blocks(tiling: Tiling, horizontal: bool) -> list[int]:
-        blocks = [t.rect for t in tiling.blocks()]
+        # Blocks bucketed by their leading and trailing edge along the
+        # axis: a space tile looks up only the blocks ending where it
+        # starts and starting where it ends.
+        ends: dict[int, list[Rect]] = {}
+        starts: dict[int, list[Rect]] = {}
+        for tile in tiling.blocks():
+            b = tile.rect
+            if horizontal:
+                ends.setdefault(b.x1, []).append(b)
+                starts.setdefault(b.x0, []).append(b)
+            else:
+                ends.setdefault(b.y1, []).append(b)
+                starts.setdefault(b.y0, []).append(b)
         gaps: list[int] = []
         for tile in tiling.spaces():
             s = tile.rect
             if horizontal:
-                left = any(b.x1 == s.x0 and min(b.y1, s.y1) > max(b.y0, s.y0) for b in blocks)
-                right = any(b.x0 == s.x1 and min(b.y1, s.y1) > max(b.y0, s.y0) for b in blocks)
+                left = any(min(b.y1, s.y1) > max(b.y0, s.y0) for b in ends.get(s.x0, ()))
+                right = any(min(b.y1, s.y1) > max(b.y0, s.y0) for b in starts.get(s.x1, ()))
                 if left and right:
                     gaps.append(s.width)
             else:
-                below = any(b.y1 == s.y0 and min(b.x1, s.x1) > max(b.x0, s.x0) for b in blocks)
-                above = any(b.y0 == s.y1 and min(b.x1, s.x1) > max(b.x0, s.x0) for b in blocks)
+                below = any(min(b.x1, s.x1) > max(b.x0, s.x0) for b in ends.get(s.y0, ()))
+                above = any(min(b.x1, s.x1) > max(b.x0, s.x0) for b in starts.get(s.y1, ()))
                 if below and above:
                     gaps.append(s.height)
         return gaps
@@ -141,9 +146,18 @@ def min_spacing_from_tilings(
 def extract_nontopo_features(rects: Sequence[Rect], window: Rect) -> NonTopoFeatures:
     """Compute all five nontopological features for a pattern window."""
     clipped = [r for r in (rect.intersection(window) for rect in rects) if r]
+    return nontopo_features_from_tilings(clipped, window, *window_tilings(clipped, window))
+
+
+def nontopo_features_from_tilings(
+    clipped: Sequence[Rect], window: Rect, h_tiling: Tiling, v_tiling: Tiling
+) -> NonTopoFeatures:
+    """The five features of window-clipped rects, given their two tilings.
+
+    Feature extraction builds the tilings once, for the topological
+    features, and measures widths and spacings on the same tiles here.
+    """
     corners, touches = corner_and_touch_counts(clipped, window)
-    h_tiling = horizontal_tiling(clipped, window)
-    v_tiling = vertical_tiling(clipped, window)
     default = max(window.width, window.height)
     return NonTopoFeatures(
         corner_count=corners,

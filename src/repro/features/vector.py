@@ -27,12 +27,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import FeatureError
-from repro.features.nontopo import NONTOPO_SLOTS, NonTopoFeatures, extract_nontopo_features
+from repro.features.nontopo import (
+    NONTOPO_SLOTS,
+    NonTopoFeatures,
+    nontopo_features_from_tilings,
+)
 from repro.mtcg.rules import RULE_RECT_SLOTS, FeatureType, RuleRect
 from repro.geometry.rect import Rect
 from repro.geometry.transform import canonical_form
 from repro.layout.clip import Clip
-from repro.mtcg.features import extract_topological_features
+from repro.mtcg.features import topological_features_with_tilings
 from repro.obs import trace
 
 #: Fixed serialisation order of the four feature types inside a vector.
@@ -180,12 +184,12 @@ class FeatureExtractor:
         rects, window = self._region_of(clip)
         if self.config.canonical_orientation and rects:
             _, rects = canonical_form(rects, window)
-        rules = tuple(
-            extract_topological_features(
-                rects, window, diagonal_max_gap=self.config.diagonal_max_gap
-            )
+        # One window clip and one pair of tilings serve both feature sets.
+        clipped = [r for r in (rect.intersection(window) for rect in rects) if r]
+        rules, h_tiling, v_tiling = topological_features_with_tilings(
+            clipped, window, self.config.diagonal_max_gap
         )
-        nontopo = extract_nontopo_features(rects, window)
+        nontopo = nontopo_features_from_tilings(clipped, window, h_tiling, v_tiling)
         grid: Optional[np.ndarray] = None
         if self.config.include_density_grid:
             resolution = self.config.density_resolution
@@ -197,7 +201,7 @@ class FeatureExtractor:
                 grid = _density_grid(rects, window, resolution)
             else:
                 grid = clip.clip_density_grid(resolution)
-        return ExtractedFeatures(rules, nontopo, grid)
+        return ExtractedFeatures(tuple(rules), nontopo, grid)
 
     # ------------------------------------------------------------------
     def vectorize(self, extraction: ExtractedFeatures, schema: FeatureSchema) -> np.ndarray:
@@ -224,19 +228,21 @@ class FeatureExtractor:
         return self.vectorize(self.extract(clip), schema)
 
     def build_matrix(
-        self, clips: Sequence[Clip], schema: Optional[FeatureSchema] = None
+        self,
+        extractions: Sequence[ExtractedFeatures],
+        schema: Optional[FeatureSchema] = None,
     ) -> tuple[np.ndarray, FeatureSchema]:
-        """Extract a population into an ``(n, d)`` matrix plus its schema.
+        """An ``(n, d)`` matrix of a population's extractions, plus its schema.
 
-        When ``schema`` is omitted it is derived from the population itself
-        (per-type maximum counts).
+        Callers extract, so an extraction several matrices share is made
+        once.  When ``schema`` is omitted it is derived from the
+        population itself (per-type maximum counts).
         """
-        with trace("features.build_matrix", clips=len(clips)) as span:
-            extractions = [self.extract(clip) for clip in clips]
+        with trace("features.build_matrix", clips=len(extractions)) as span:
             if schema is None:
                 schema = FeatureSchema.from_extractions(extractions)
             span.set(vector_length=schema.vector_length(self.config))
-            if not clips:
+            if not extractions:
                 return np.zeros((0, schema.vector_length(self.config))), schema
             rows = [self.vectorize(extraction, schema) for extraction in extractions]
             return np.vstack(rows), schema

@@ -139,6 +139,22 @@ def disjoint_cover(rects: Iterable[Rect]) -> list[Rect]:
     return accepted
 
 
+def any_overlap(ordered: list[Rect]) -> bool:
+    """Whether two rects of an x0-sorted list share area (sort and sweep).
+
+    Later rects start at or right of ``a.x0``, so the scan for ``a`` stops
+    at the first one starting at or right of ``a.x1``.
+    """
+    for i, a in enumerate(ordered, 1):
+        x1, y0, y1 = a.x1, a.y0, a.y1
+        for b in ordered[i:]:
+            if b.x0 >= x1:
+                break
+            if b.y0 < y1 and y0 < b.y1:
+                return True
+    return False
+
+
 def rects_cover_polygon(polygon: Polygon, rects: list[Rect]) -> bool:
     """Check that ``rects`` exactly tile ``polygon``.
 

@@ -103,3 +103,28 @@ def all_orientation_grids(grid: np.ndarray) -> dict[str, np.ndarray]:
         name: orient_grid(grid, name)
         for name in ("R0", "R90", "R180", "R270", "MX", "MY", "MXR90", "MYR90")
     }
+
+
+def lattice_coverage(
+    rects: Iterable[Rect],
+) -> tuple[dict[int, int], dict[int, int], np.ndarray]:
+    """Which cells of the rects' own coordinate lattice a rect covers.
+
+    The plane is cut at every distinct rect ``x`` and ``y``; ``x_index`` and
+    ``y_index`` number those cuts in order.  ``covered[i + 1, j + 1]`` says
+    whether some rect covers the cell between cuts ``i`` and ``i + 1`` in x
+    and ``j`` and ``j + 1`` in y; row and column 0 and the last row and
+    column are an uncovered border.  Rects may overlap.  The four cells
+    around lattice vertex ``(i, j)`` are ``covered[i:i + 2, j:j + 2]``.
+    """
+    rects = list(rects)
+    xs = sorted({r.x0 for r in rects} | {r.x1 for r in rects})
+    ys = sorted({r.y0 for r in rects} | {r.y1 for r in rects})
+    x_index = {x: i for i, x in enumerate(xs)}
+    y_index = {y: j for j, y in enumerate(ys)}
+    covered = np.zeros((len(xs) + 1, len(ys) + 1), dtype=bool)
+    for r in rects:
+        covered[
+            x_index[r.x0] + 1 : x_index[r.x1] + 1, y_index[r.y0] + 1 : y_index[r.y1] + 1
+        ] = True
+    return x_index, y_index, covered

@@ -16,7 +16,7 @@ window in this library does, because clip sides come from even nm counts.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point
@@ -152,22 +152,64 @@ def compose(first: Orientation, then: Orientation) -> Orientation:
     raise GeometryError("orientation composition did not close the group")
 
 
-def canonical_form(
-    rects: list[Rect],
-    window: Rect,
-    key: Callable[[list[Rect]], object] = tuple,
-) -> tuple[Orientation, list[Rect]]:
+def _axis_map(orientation: Orientation) -> tuple[bool, int, int]:
+    """How ``orientation`` moves coordinates about the origin.
+
+    ``(swap, x_sign, y_sign)``: the image's x is ``x_sign`` times the
+    source's y when ``swap`` (its x otherwise), and its y is ``y_sign``
+    times the other source coordinate.
+    """
+    x, y = orientation.apply_to_unit(1, 2)
+    return abs(x) == 2, (1 if x > 0 else -1), (1 if y > 0 else -1)
+
+
+_AXIS_MAPS = tuple((o, _axis_map(o)) for o in ALL_ORIENTATIONS)
+
+
+def _oriented(
+    box: tuple[int, int, int, int], swap: bool, x_sign: int, y_sign: int
+) -> tuple[int, int, int, int]:
+    """The image of a centre-relative ``(x0, y0, x1, y1)`` box."""
+    x0, y0, x1, y1 = box
+    if swap:
+        x0, y0, x1, y1 = y0, x0, y1, x1
+    if x_sign < 0:
+        x0, x1 = -x1, -x0
+    if y_sign < 0:
+        y0, y1 = -y1, -y0
+    return x0, y0, x1, y1
+
+
+def canonical_form(rects: list[Rect], window: Rect) -> tuple[Orientation, list[Rect]]:
     """Canonical representative of a rectangle set under D8.
 
     Returns the orientation giving the lexicographically smallest
-    transformed set together with that set.  Two patterns are congruent
-    under D8 iff their canonical forms are equal, which gives the clustering
-    code an exact, hashable congruence key.
+    transformed set together with that set; of equal sets the first
+    orientation in :data:`ALL_ORIENTATIONS` order wins.  Two patterns are
+    congruent under D8 iff their canonical forms are equal, which gives
+    the clustering code an exact, hashable congruence key.
+
+    The orientations are compared as sorted integer 4-tuples in the
+    doubled, centre-relative coordinates of
+    :func:`transform_point_in_window`, which map to the lattice one to one
+    and in order, and only the winner is built as ``Rect``s.
     """
-    best: tuple[Orientation, list[Rect]] | None = None
-    for orientation in ALL_ORIENTATIONS:
-        candidate = transform_rects_in_window(rects, window, orientation)
-        if best is None or key(candidate) < key(best[1]):
-            best = (orientation, candidate)
+    if rects and window.width != window.height:
+        raise GeometryError(
+            "axis-swapping orientation requires a square window, got "
+            f"{window.width}x{window.height}"
+        )
+    cx2 = window.x0 + window.x1
+    cy2 = window.y0 + window.y1
+    boxes = [(2 * r.x0 - cx2, 2 * r.y0 - cy2, 2 * r.x1 - cx2, 2 * r.y1 - cy2) for r in rects]
+    best: tuple[Orientation, list[tuple[int, int, int, int]]] | None = None
+    for orientation, (swap, x_sign, y_sign) in _AXIS_MAPS:
+        image = sorted(_oriented(box, swap, x_sign, y_sign) for box in boxes)
+        if best is None or image < best[1]:
+            best = (orientation, image)
     assert best is not None  # ALL_ORIENTATIONS is non-empty
-    return best
+    orientation, image = best
+    return orientation, [
+        Rect((x0 + cx2) // 2, (y0 + cy2) // 2, (x1 + cx2) // 2, (y1 + cy2) // 2)
+        for x0, y0, x1, y1 in image
+    ]

@@ -19,29 +19,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.errors import LayoutError
-from repro.geometry.dissect import disjoint_cover
+from repro.geometry.dissect import any_overlap, disjoint_cover
 from repro.geometry.grid import density_grid, window_density
 from repro.geometry.rect import Rect
 from repro.geometry.transform import Orientation, transform_rects_in_window
 
 #: ``Rect``'s field order, so sorting by it equals sorting by ``Rect.__lt__``.
 _RECT_ORDER = attrgetter("x0", "y0", "x1", "y1")
-
-
-def _any_overlap(ordered: list[Rect]) -> bool:
-    """Whether two rects of an x0-sorted list share area (sort and sweep).
-
-    Later rects start at or right of ``a.x0``, so the scan for ``a`` stops
-    at the first one starting at or right of ``a.x1``.
-    """
-    for i, a in enumerate(ordered, 1):
-        x1, y0, y1 = a.x1, a.y0, a.y1
-        for b in ordered[i:]:
-            if b.x0 >= x1:
-                break
-            if b.y0 < y1 and y0 < b.y1:
-                return True
-    return False
 
 
 class ClipLabel(Enum):
@@ -138,7 +122,7 @@ class Clip:
         # Layout geometry may overlap (GDSII union semantics); clips hold a
         # disjoint cover so density and tiling arithmetic stay exact.  The
         # cover depends on input order, so it is built from ``clipped``.
-        if _any_overlap(ordered):
+        if any_overlap(ordered):
             ordered = sorted(disjoint_cover(clipped), key=_RECT_ORDER)
         return Clip(window, spec, tuple(ordered), label, layer)
 

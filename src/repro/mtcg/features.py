@@ -26,7 +26,7 @@ from repro import obs
 from repro.mtcg.rules import FeatureType, RuleRect
 from repro.geometry.rect import Rect
 from repro.mtcg.graph import Mtcg, build_mtcg
-from repro.mtcg.tiles import Tiling, horizontal_tiling, vertical_tiling
+from repro.mtcg.tiles import Tiling, window_tilings
 
 
 def internal_features(graph: Mtcg, window: Rect) -> list[RuleRect]:
@@ -132,6 +132,20 @@ def extract_topological_features(
     vertically tiled ``Cv``, extracts all four feature types from them, and
     returns the deduplicated, canonically sorted rule-rectangle list.
     """
+    return topological_features_with_tilings(rects, window, diagonal_max_gap)[0]
+
+
+def topological_features_with_tilings(
+    rects: Sequence[Rect],
+    window: Rect,
+    diagonal_max_gap: Optional[int] = None,
+) -> tuple[list[RuleRect], Tiling, Tiling]:
+    """:func:`extract_topological_features` plus the two tilings it read.
+
+    Both tilings come from one window clip of ``rects``; feature
+    extraction hands them on to the nontopological features, which
+    measure widths and spacings on the same tiles.
+    """
     # This is the hottest path in the pipeline (once per clip per schema
     # build); a full span per call would dominate the trace, so timings
     # aggregate into one tally — and only when tracing is on.  The tally
@@ -150,9 +164,8 @@ def _extract_topological_features(
     rects: Sequence[Rect],
     window: Rect,
     diagonal_max_gap: Optional[int],
-) -> list[RuleRect]:
-    h_tiling = horizontal_tiling(rects, window)
-    v_tiling = vertical_tiling(rects, window)
+) -> tuple[list[RuleRect], Tiling, Tiling]:
+    h_tiling, v_tiling = window_tilings(rects, window)
     ch = build_mtcg(
         h_tiling, "h", with_diagonals=True, diagonal_max_gap=diagonal_max_gap
     )
@@ -165,4 +178,4 @@ def _extract_topological_features(
     features.update(external_features(cv, window))
     features.update(diagonal_features(ch, window))
     features.update(segment_features(h_tiling, window))
-    return sorted(features)
+    return sorted(features), h_tiling, v_tiling

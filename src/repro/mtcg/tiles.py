@@ -16,11 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Sequence
 
 from repro.errors import TilingError
-from repro.geometry.dissect import disjoint_cover, merge_vertical
+from repro.geometry.dissect import any_overlap, disjoint_cover, merge_vertical
 from repro.geometry.rect import Rect
+
+#: Sort key of the overlap sweep's x0-sorted input.
+_X0 = attrgetter("x0")
 
 
 class TileKind(Enum):
@@ -75,44 +79,33 @@ class Tiling:
         return [t for t in self.tiles if t.is_space]
 
     def covers_window(self) -> bool:
-        """Exactness check: tile areas sum to the window area, no overlap."""
-        total = 0
+        """Exactness check: tiles inside the window, areas summing to its
+        area, and no two tiles overlapping (a sort-and-sweep)."""
         rects = [t.rect for t in self.tiles]
-        for i, rect in enumerate(rects):
-            if not self.window.contains_rect(rect):
-                return False
-            total += rect.area
-            for other in rects[i + 1 :]:
-                if rect.overlaps(other):
-                    return False
-        return total == self.window.area
+        if not all(self.window.contains_rect(rect) for rect in rects):
+            return False
+        if sum(rect.area for rect in rects) != self.window.area:
+            return False
+        return not any_overlap(sorted(rects, key=_X0))
 
 
 def _clip_blocks(rects: Sequence[Rect], window: Rect) -> list[Rect]:
     """Window-clip the blocks and resolve overlaps to a disjoint cover.
 
     GDSII layouts legitimately contain overlapping shapes (union
-    semantics); the tiling operates on the union's disjoint cover.
+    semantics); the tiling operates on the union's disjoint cover.  The
+    cover depends on input order, so it is built from the clipped rects in
+    their original order.
     """
     clipped = [r for r in (rect.intersection(window) for rect in rects) if r]
-    if any(
-        a.overlaps(b)
-        for i, a in enumerate(clipped)
-        for b in clipped[i + 1 :]
-    ):
+    if any_overlap(sorted(clipped, key=_X0)):
         clipped = disjoint_cover(clipped)
     return clipped
 
 
-def horizontal_tiling(rects: Sequence[Rect], window: Rect) -> Tiling:
-    """Tile ``window`` with blocks and maximal horizontal space strips.
-
-    Space is cut at every block top/bottom edge; within each horizontal
-    slab the free x-intervals become space tiles; vertically adjacent space
-    tiles with identical x-extent are merged so strips are maximal.
-    Blocks are merged vertically first so each block tile is maximal too.
-    """
-    blocks = merge_vertical(_clip_blocks(rects, window))
+def _row_tiles(blocks: list[Rect], window: Rect) -> tuple[Tile, ...]:
+    """The tiles of :func:`horizontal_tiling`, from window-clipped disjoint blocks."""
+    blocks = merge_vertical(blocks)
     y_cuts = {window.y0, window.y1}
     for block in blocks:
         y_cuts.add(block.y0)
@@ -139,10 +132,40 @@ def horizontal_tiling(rects: Sequence[Rect], window: Rect) -> Tiling:
         tiles.append(Tile(rect, TileKind.BLOCK, len(tiles)))
     for rect in sorted(spaces):
         tiles.append(Tile(rect, TileKind.SPACE, len(tiles)))
-    tiling = Tiling(window, tuple(tiles), "horizontal")
+    return tuple(tiles)
+
+
+def _transposed(rect: Rect) -> Rect:
+    return Rect(rect.y0, rect.x0, rect.y1, rect.x1)
+
+
+def _checked(window: Rect, tiles: tuple[Tile, ...], orientation: str) -> Tiling:
+    tiling = Tiling(window, tiles, orientation)
     if not tiling.covers_window():
-        raise TilingError("horizontal tiling does not exactly cover the window")
+        raise TilingError(f"{orientation} tiling does not exactly cover the window")
     return tiling
+
+
+def _horizontal(blocks: list[Rect], window: Rect) -> Tiling:
+    return _checked(window, _row_tiles(blocks, window), "horizontal")
+
+
+def _vertical(blocks: list[Rect], window: Rect) -> Tiling:
+    # The transpose of the horizontal tiling of the transposed blocks.
+    transposed = _row_tiles([_transposed(b) for b in blocks], _transposed(window))
+    tiles = tuple(Tile(_transposed(t.rect), t.kind, t.index) for t in transposed)
+    return _checked(window, tiles, "vertical")
+
+
+def horizontal_tiling(rects: Sequence[Rect], window: Rect) -> Tiling:
+    """Tile ``window`` with blocks and maximal horizontal space strips.
+
+    Space is cut at every block top/bottom edge; within each horizontal
+    slab the free x-intervals become space tiles; vertically adjacent space
+    tiles with identical x-extent are merged so strips are maximal.
+    Blocks are merged vertically first so each block tile is maximal too.
+    """
+    return _horizontal(_clip_blocks(rects, window), window)
 
 
 def vertical_tiling(rects: Sequence[Rect], window: Rect) -> Tiling:
@@ -152,14 +175,14 @@ def vertical_tiling(rects: Sequence[Rect], window: Rect) -> Tiling:
     are swapped, the horizontal tiling is computed, and the result is
     swapped back.
     """
-    swapped_window = Rect(window.y0, window.x0, window.y1, window.x1)
-    swapped_rects = [Rect(r.y0, r.x0, r.y1, r.x1) for r in _clip_blocks(rects, window)]
-    transposed = horizontal_tiling(swapped_rects, swapped_window)
-    tiles = tuple(
-        Tile(Rect(t.rect.y0, t.rect.x0, t.rect.y1, t.rect.x1), t.kind, t.index)
-        for t in transposed.tiles
-    )
-    tiling = Tiling(window, tiles, "vertical")
-    if not tiling.covers_window():
-        raise TilingError("vertical tiling does not exactly cover the window")
-    return tiling
+    return _vertical(_clip_blocks(rects, window), window)
+
+
+def window_tilings(rects: Sequence[Rect], window: Rect) -> tuple[Tiling, Tiling]:
+    """Both tilings of ``window``, from one window clip of ``rects``.
+
+    Equal to ``(horizontal_tiling(rects, window), vertical_tiling(rects,
+    window))``; feature extraction builds them once per clip this way.
+    """
+    blocks = _clip_blocks(rects, window)
+    return _horizontal(blocks, window), _vertical(blocks, window)

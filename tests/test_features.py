@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import FeatureError
 from repro.features.nontopo import (
     NONTOPO_SLOTS,
     corner_and_touch_counts,
     extract_nontopo_features,
+    min_spacing_from_tilings,
+    nontopo_features_from_tilings,
 )
 from repro.features.vector import (
     TYPE_ORDER,
@@ -16,8 +19,12 @@ from repro.features.vector import (
     FeatureSchema,
 )
 from repro.mtcg.rules import RULE_RECT_SLOTS, FeatureType
+from repro.mtcg.tiles import window_tilings
 from repro.geometry.rect import Rect
 from repro.layout.clip import Clip, ClipLabel, ClipSpec
+from tests import extraction_oracles as oracle
+from tests.test_mtcg import tile_sets
+from tests.test_topology import messy_patterns
 
 WINDOW = Rect(0, 0, 12, 12)
 SPEC = ClipSpec(core_side=12, clip_side=36)
@@ -68,6 +75,47 @@ class TestNonTopoFeatures:
     def test_as_list_length(self):
         features = extract_nontopo_features([Rect(1, 1, 4, 4)], WINDOW)
         assert len(features.as_list()) == NONTOPO_SLOTS
+
+
+class TestNonTopoAgainstReference:
+    """Lattice lookups and edge buckets equal the rescanning references."""
+
+    @given(messy_patterns())
+    @settings(max_examples=400, deadline=None)
+    def test_corner_and_touch_counts(self, pattern):
+        rects, window = pattern
+        assert corner_and_touch_counts(rects, window) == oracle.corner_and_touch_counts(
+            rects, window
+        )
+        assert corner_and_touch_counts(rects) == oracle.corner_and_touch_counts(rects)
+
+    @given(messy_patterns())
+    @settings(max_examples=300, deadline=None)
+    def test_min_spacing_on_tilings(self, pattern):
+        rects, window = pattern
+        h_tiling, v_tiling = window_tilings(rects, window)
+        assert min_spacing_from_tilings(h_tiling, v_tiling, -1) == (
+            oracle.min_spacing_from_tilings(h_tiling, v_tiling, -1)
+        )
+
+    @given(tile_sets(), tile_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_min_spacing_on_arbitrary_tile_sets(self, h_tiling, v_tiling):
+        assert min_spacing_from_tilings(h_tiling, v_tiling, -1) == (
+            oracle.min_spacing_from_tilings(h_tiling, v_tiling, -1)
+        )
+
+    @given(messy_patterns())
+    @settings(max_examples=300, deadline=None)
+    def test_nontopo_extraction(self, pattern):
+        rects, window = pattern
+        expected = oracle.extract_nontopo_features(rects, window)
+        assert extract_nontopo_features(rects, window) == expected
+        clipped = [r for r in (rect.intersection(window) for rect in rects) if r]
+        shared = nontopo_features_from_tilings(
+            clipped, window, *window_tilings(clipped, window)
+        )
+        assert shared == expected
 
 
 class TestFeatureConfig:
@@ -140,14 +188,16 @@ class TestSchemaAndVectorize:
     def test_vector_length_matches_schema(self):
         extractor = FeatureExtractor(FeatureConfig())
         clip = make_clip([Rect(4, 4, 8, 8)])
-        matrix, schema = extractor.build_matrix([clip])
+        matrix, schema = extractor.build_matrix([extractor.extract(clip)])
         assert matrix.shape == (1, schema.vector_length(extractor.config))
 
     def test_padding_for_sparse_patterns(self):
         extractor = FeatureExtractor(FeatureConfig())
         rich = make_clip([Rect(1, 1, 3, 5), Rect(5, 1, 7, 9), Rect(9, 1, 11, 5)])
         sparse = make_clip([Rect(4, 4, 8, 8)])
-        matrix, schema = extractor.build_matrix([rich, sparse])
+        matrix, schema = extractor.build_matrix(
+            [extractor.extract(rich), extractor.extract(sparse)]
+        )
         assert matrix.shape[0] == 2
         assert matrix.shape[1] == schema.vector_length(extractor.config)
 
@@ -162,7 +212,7 @@ class TestSchemaAndVectorize:
         config = FeatureConfig(include_density_grid=True, density_resolution=6)
         extractor = FeatureExtractor(config)
         clip = make_clip([Rect(4, 4, 8, 8)])
-        matrix, schema = extractor.build_matrix([clip])
+        matrix, schema = extractor.build_matrix([extractor.extract(clip)])
         assert matrix.shape[1] == schema.vector_length(config)
         assert matrix.shape[1] >= 36
 
@@ -174,5 +224,38 @@ class TestSchemaAndVectorize:
     def test_identical_clips_identical_vectors(self):
         extractor = FeatureExtractor(FeatureConfig())
         clip = make_clip([Rect(2, 2, 6, 10)])
-        matrix, _ = extractor.build_matrix([clip, clip])
+        matrix, _ = extractor.build_matrix(
+            [extractor.extract(clip), extractor.extract(clip)]
+        )
         assert np.array_equal(matrix[0], matrix[1])
+
+
+def messy_clips():
+    """Clips whose rects overlap, touch and cross the core and clip edges."""
+    coordinate = st.integers(-4, 40)
+    box = st.tuples(coordinate, coordinate, st.integers(1, 14), st.integers(1, 14))
+    return st.lists(box, max_size=10).map(
+        lambda raw: Clip.build(
+            SPEC.clip_at(0, 0), SPEC, [Rect(x, y, x + w, y + h) for x, y, w, h in raw]
+        )
+    )
+
+
+class TestExtractorAgainstReference:
+    """One clip, one window clip, one pair of tilings: the same features as
+    tiling once per feature set with the reference primitives."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FeatureConfig(),
+            FeatureConfig(region="context", context_margin=6, diagonal_max_gap=4),
+            FeatureConfig(region="clip", canonical_orientation=False, diagonal_max_gap=None),
+        ],
+        ids=["core", "context", "clip"],
+    )
+    @given(clip=messy_clips())
+    @settings(max_examples=150, deadline=None)
+    def test_extraction_matches_reference(self, config, clip):
+        extractor = FeatureExtractor(config)
+        assert extractor._extract_uncached(clip) == oracle.extract_uncached(extractor, clip)

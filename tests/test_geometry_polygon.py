@@ -1,7 +1,7 @@
 """Unit and property tests for polygons, dissection, and transforms."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry.dissect import (
@@ -24,6 +24,8 @@ from repro.geometry.transform import (
     transform_rect_in_window,
     transform_rects_in_window,
 )
+from tests import extraction_oracles as oracle
+from tests.test_topology import messy_patterns
 
 
 L_SHAPE = Polygon([(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)])
@@ -215,3 +217,50 @@ class TestOrientations:
             oriented = transform_rects_in_window(rects, window, orientation)
             _, canonical2 = canonical_form(oriented, window)
             assert canonical == canonical2
+
+
+def square_patterns():
+    return messy_patterns().filter(lambda pattern: pattern[1].width == pattern[1].height)
+
+
+#: Subgroups of D8 whose orbits make patterns that tie between orientations.
+SYMMETRIES = [
+    ALL_ORIENTATIONS,
+    (Orientation.R0, Orientation.R90, Orientation.R180, Orientation.R270),
+    (Orientation.R0, Orientation.R180),
+    (Orientation.R0, Orientation.MX),
+    (Orientation.R0, Orientation.MXR90),
+]
+
+
+class TestCanonicalFormAgainstReference:
+    """Integer tuples pick the same orientation and set as eight ``Rect`` lists."""
+
+    @given(square_patterns())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, pattern):
+        rects, window = pattern
+        assert canonical_form(rects, window) == oracle.canonical_form(rects, window)
+
+    @given(square_patterns(), st.sampled_from(SYMMETRIES))
+    @settings(max_examples=300, deadline=None)
+    def test_symmetric_ties_break_like_reference(self, pattern, group):
+        rects, window = pattern
+        orbit = sorted(
+            {image for o in group for image in transform_rects_in_window(rects, window, o)}
+        )
+        assert canonical_form(orbit, window) == oracle.canonical_form(orbit, window)
+
+    def test_fully_symmetric_pattern_keeps_r0(self):
+        window = Rect(0, 0, 10, 10)
+        rects = [Rect(4, 4, 6, 6), Rect(0, 0, 1, 1), Rect(9, 0, 10, 1), Rect(0, 9, 1, 10), Rect(9, 9, 10, 10)]
+        assert canonical_form(rects, window) == (Orientation.R0, sorted(rects))
+
+    def test_non_square_window(self):
+        window = Rect(0, 0, 10, 6)
+        with pytest.raises(GeometryError):
+            canonical_form([Rect(0, 0, 2, 2)], window)
+        with pytest.raises(GeometryError):
+            oracle.canonical_form([Rect(0, 0, 2, 2)], window)
+        assert canonical_form([], window) == oracle.canonical_form([], window)
+

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import TilingError
 from repro.geometry.rect import Rect
-from repro.mtcg.graph import build_mtcg
+from repro.mtcg.graph import _adjacent_pairs, _diagonal_pairs, build_mtcg
 from repro.mtcg.rules import FeatureType, RuleRect
 from repro.mtcg.features import (
     diagonal_features,
@@ -13,8 +13,19 @@ from repro.mtcg.features import (
     external_features,
     internal_features,
     segment_features,
+    topological_features_with_tilings,
 )
-from repro.mtcg.tiles import TileKind, horizontal_tiling, vertical_tiling
+from repro.mtcg.tiles import (
+    Tile,
+    TileKind,
+    Tiling,
+    _clip_blocks,
+    horizontal_tiling,
+    vertical_tiling,
+    window_tilings,
+)
+from tests import extraction_oracles as oracle
+from tests.test_topology import messy_patterns
 
 WINDOW = Rect(0, 0, 12, 12)
 #: The paper's Fig. 8 "mountain" spirit: three towers on a common base line.
@@ -248,3 +259,115 @@ class TestGraphStructure:
         nxg = build_mtcg(tiling, "h").to_networkx()
         kinds = {data["kind"] for _, data in nxg.nodes(data=True)}
         assert kinds == {"block", "space"}
+
+
+@st.composite
+def tile_sets(draw):
+    """Tiles of either kind on messy rects: overlapping, gapped, out of window."""
+    rects, window = draw(messy_patterns())
+    kinds = draw(st.lists(st.sampled_from(TileKind), min_size=len(rects), max_size=len(rects)))
+    tiles = tuple(Tile(rect, kind, i) for i, (rect, kind) in enumerate(zip(rects, kinds)))
+    return Tiling(window, tiles, "horizontal")
+
+
+#: Diagonal search distances: off, touching corners only, and short/long gaps.
+MAX_GAPS = (None, 0, 1, 3, 8)
+
+
+def assert_graph_primitives_match(tiling):
+    for axis in ("h", "v"):
+        assert list(_adjacent_pairs(tiling, axis)) == list(oracle.adjacent_pairs(tiling, axis))
+    for max_gap in MAX_GAPS:
+        expected = list(oracle.diagonal_pairs(tiling, max_gap))
+        assert list(_diagonal_pairs(tiling, max_gap)) == expected
+
+
+class TestPrimitivesAgainstReference:
+    """Sweeps, edge buckets and lookups equal the all-pairs references,
+    pair order included, on overlapping, touching and window-crossing rects."""
+
+    @given(messy_patterns())
+    @settings(max_examples=300, deadline=None)
+    def test_clip_blocks(self, pattern):
+        rects, window = pattern
+        assert _clip_blocks(rects, window) == oracle.clip_blocks(rects, window)
+
+    @given(messy_patterns())
+    @settings(max_examples=300, deadline=None)
+    def test_tilings(self, pattern):
+        rects, window = pattern
+        h_tiling, v_tiling = window_tilings(rects, window)
+        assert h_tiling == horizontal_tiling(rects, window)
+        assert v_tiling == vertical_tiling(rects, window)
+        assert h_tiling == oracle.horizontal_tiling(rects, window)
+        assert v_tiling == oracle.vertical_tiling(rects, window)
+
+    @given(messy_patterns())
+    @settings(max_examples=300, deadline=None)
+    def test_graphs_on_tilings(self, pattern):
+        rects, window = pattern
+        for tiling in window_tilings(rects, window):
+            assert_graph_primitives_match(tiling)
+            for axis in ("h", "v"):
+                graph = build_mtcg(tiling, axis, with_diagonals=True, diagonal_max_gap=3)
+                reference = oracle.build_mtcg(
+                    tiling, axis, with_diagonals=True, diagonal_max_gap=3
+                )
+                assert graph.edges == reference.edges
+                for tile in tiling.tiles:
+                    assert graph.successors(tile.index) == reference.successors(tile.index)
+                    assert graph.predecessors(tile.index) == reference.predecessors(tile.index)
+                    assert graph.neighbors(tile.index) == reference.neighbors(tile.index)
+
+    @given(tile_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_primitives_on_arbitrary_tile_sets(self, tiling):
+        assert tiling.covers_window() == oracle.covers_window(tiling)
+        assert_graph_primitives_match(tiling)
+
+    @given(messy_patterns(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_covers_window_rejects_gaps_and_overlaps(self, pattern, data):
+        rects, window = pattern
+        tiling = horizontal_tiling(rects, window)
+        assert tiling.covers_window() and oracle.covers_window(tiling)
+        tiles = list(tiling.tiles)
+        k = data.draw(st.integers(0, len(tiles) - 1))
+        gapped = Tiling(window, tuple(tiles[:k] + tiles[k + 1 :]), "horizontal")
+        doubled = Tiling(window, tuple(tiles + [tiles[k]]), "horizontal")
+        for broken in (gapped, doubled):
+            assert not broken.covers_window()
+            assert not oracle.covers_window(broken)
+
+    def test_covers_window_overlap_with_exact_area(self):
+        # The overlap and the gap cancel in the area sum; only the sweep sees it.
+        window = Rect(0, 0, 4, 2)
+        tiles = (
+            Tile(Rect(0, 0, 2, 2), TileKind.BLOCK, 0),
+            Tile(Rect(1, 0, 3, 2), TileKind.SPACE, 1),
+        )
+        tiling = Tiling(window, tiles, "horizontal")
+        assert not tiling.covers_window()
+        assert not oracle.covers_window(tiling)
+
+    @given(messy_patterns(), st.sampled_from(MAX_GAPS))
+    @settings(max_examples=300, deadline=None)
+    def test_topological_extraction(self, pattern, max_gap):
+        rects, window = pattern
+        rules, h_tiling, v_tiling = topological_features_with_tilings(rects, window, max_gap)
+        assert rules == oracle.extract_topological_features(
+            rects, window, diagonal_max_gap=max_gap
+        )
+        assert rules == extract_topological_features(rects, window, diagonal_max_gap=max_gap)
+        assert (h_tiling, v_tiling) == window_tilings(rects, window)
+
+    def test_one_tally_per_extraction(self):
+        from repro import obs
+
+        tracer = obs.set_tracer(obs.Tracer(max_spans=1000))
+        try:
+            topological_features_with_tilings(MOUNTAIN, WINDOW)
+            extract_topological_features(MOUNTAIN, WINDOW)
+        finally:
+            obs.set_tracer(None)
+        assert tracer.stage_totals()["mtcg.features"]["count"] == 2

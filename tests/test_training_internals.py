@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
+from repro.cache.keys import model_fingerprint
 from repro.core.config import DetectorConfig
+from repro.core.detector import HotspotDetector
 from repro.core.training import (
     GATED_OUT,
     core_string_key,
     train_multi_kernel,
 )
+from repro.data.benchmarks import benchmark_config, generate_training_set
+from repro.features.vector import FeatureExtractor
 from repro.geometry.rect import Rect
 from repro.layout.clip import Clip, ClipLabel, ClipSet, ClipSpec
 from repro.svm.scaling import MinMaxScaler
+from tests import extraction_oracles as oracle
 
 SPEC = ClipSpec(core_side=1200, clip_side=4800)
 
@@ -140,3 +146,45 @@ class TestBasicVariant:
         training = tiny_training_set()
         model = train_multi_kernel(training, DetectorConfig.basic())
         assert len(model.hotspot_clips) == len(training.hotspots())
+
+
+class TestFitExtraction:
+    """A fit extracts each training clip once, with the one-pass extraction."""
+
+    @pytest.fixture(scope="class")
+    def traced_fit(self):
+        training = generate_training_set(benchmark_config("benchmark4"), 0.3)
+        tracer = obs.set_tracer(obs.Tracer(max_spans=100_000))
+        try:
+            detector = HotspotDetector(DetectorConfig.ours())
+            detector.fit(training)
+        finally:
+            obs.set_tracer(None)
+        return training, detector, tracer
+
+    def test_each_training_clip_extracted_once(self, traced_fit):
+        # Every kernel shares the centroid extractions, and the feedback
+        # self-evaluation reuses them: one extraction per upsampled
+        # hotspot and centroid, plus the feedback kernel's own clips.
+        _, detector, tracer = traced_fit
+        model, feedback = detector.model_, detector.feedback_
+        assert feedback is not None and len(model.kernels) > 1
+        expected = (
+            len(model.hotspot_clips)
+            + len(model.nonhotspot_centroids)
+            + feedback.hotspots_used
+            + feedback.extras_used
+        )
+        assert tracer.stage_totals()["mtcg.features"]["count"] == expected
+
+    def test_reference_primitives_fit_the_same_model(self, traced_fit, monkeypatch):
+        training, detector, _ = traced_fit
+        monkeypatch.setattr(FeatureExtractor, "_extract_uncached", oracle.extract_uncached)
+        reference = HotspotDetector(DetectorConfig.ours())
+        reference.fit(training)
+        probe = reference.model_.nonhotspot_centroids + reference.model_.hotspot_clips
+        expected = reference.feedback_.margins(probe)
+        monkeypatch.undo()
+        assert model_fingerprint(detector.model_) == model_fingerprint(reference.model_)
+        assert np.array_equal(detector.feedback_.margins(probe), expected)
+
