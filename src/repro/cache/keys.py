@@ -14,7 +14,8 @@ by where it came from:
 - :func:`model_fingerprint` hashes a trained
   :class:`~repro.core.training.MultiKernelModel`'s kernels (weights,
   support vectors, schemas, gates) — the only state per-kernel margins
-  depend on.
+  depend on; :func:`feedback_fingerprint` does the same for the
+  feedback kernel.
 
 Labels, layer numbers and file paths are deliberately excluded: none of
 them influence features or margins, and including them would split the
@@ -83,6 +84,25 @@ def model_fingerprint(model) -> str:
         for index, kernel in enumerate(model.kernels)
     ]
     payload = {"kernels": metas, "features": feature_fingerprint(model.extractor.config)}
+    return _state_digest(payload, arrays)
+
+
+def feedback_fingerprint(feedback) -> str:
+    """Hash of the state feedback verdicts depend on, or ``"none"``.
+
+    Covers the feedback kernel's schema, SVM arrays and extractor
+    configuration, as persisted in a model archive.
+    """
+    if feedback is None:
+        return "none"
+    from repro.core.persist import encode_feedback_kernel
+
+    arrays: dict = {}
+    return _state_digest(encode_feedback_kernel(feedback, arrays), arrays)
+
+
+def _state_digest(payload: dict, arrays: dict) -> str:
+    """sha256 of a JSON ``payload`` followed by each named array's bytes."""
     digest = sha256(json.dumps(payload, sort_keys=True, default=str).encode("utf-8"))
     for name in sorted(arrays):
         array = np.ascontiguousarray(arrays[name])

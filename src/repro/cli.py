@@ -227,6 +227,19 @@ def _add_train(subparsers) -> None:
     _add_obs_arguments(parser, manifest_by_default=True)
 
 
+def _scan_threshold(text: str) -> float:
+    """A scan's decision threshold: a number above ``GATED_OUT``."""
+    from repro.core.training import GATED_OUT
+
+    value = float(text)
+    if value <= GATED_OUT:
+        raise argparse.ArgumentTypeError(
+            f"{text} is at or below GATED_OUT ({GATED_OUT:g}); "
+            "gated-out candidates have no feedback verdict"
+        )
+    return value
+
+
 def _add_scan(subparsers) -> None:
     parser = subparsers.add_parser(
         "scan", help="scan a GDSII layout with a trained model"
@@ -234,7 +247,7 @@ def _add_scan(subparsers) -> None:
     parser.add_argument("--model", type=Path, required=True)
     parser.add_argument("--layout", type=Path, required=True)
     parser.add_argument("--layer", type=int, default=1)
-    parser.add_argument("--threshold", type=float, default=None)
+    parser.add_argument("--threshold", type=_scan_threshold, default=None)
     parser.add_argument(
         "--report", type=Path, default=None, help="write reports as a GDSII overlay"
     )
@@ -444,7 +457,7 @@ def _add_fleet_scan(subparsers) -> None:
     parser.add_argument("--model", type=Path, required=True)
     parser.add_argument("--layout", type=Path, required=True)
     parser.add_argument("--layer", type=int, default=1)
-    parser.add_argument("--threshold", type=float, default=None)
+    parser.add_argument("--threshold", type=_scan_threshold, default=None)
     parser.add_argument(
         "--report", type=Path, default=None, help="write reports as a GDSII overlay"
     )

@@ -30,13 +30,17 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from repro.core.config import DetectorConfig
-from repro.obs import get_logger, trace
-from repro.core.feedback import FeedbackKernel, train_feedback_kernel
+from repro.obs import trace
+from repro.core.feedback import (
+    FeedbackKernel,
+    guarded_keep_mask,
+    train_feedback_kernel,
+)
 from repro.core.metrics import DetectionScore, score_reports
 from repro.core.removal import remove_redundant_clips
-from repro.core.training import MultiKernelModel, _train_multi_kernel
+from repro.core.training import GATED_OUT, MultiKernelModel, _train_multi_kernel
 from repro.data.synth import TestingLayout
-from repro.errors import NotFittedError, ReproError
+from repro.errors import NotFittedError
 from repro.layout.clip import Clip, ClipLabel, ClipSet
 from repro.layout.layout import Layout
 
@@ -66,7 +70,8 @@ class DetectionReport:
     """Everything one ``detect`` call produced."""
 
     reports: list[Clip]
-    #: The scan itself: candidates, funnel counts, margins, shard counters.
+    #: The scan itself: candidate anchors, margins, feedback verdicts,
+    #: funnel counts, shard counters.
     extraction: ScanResult
     flagged_before_feedback: int
     flagged_after_feedback: int
@@ -74,7 +79,8 @@ class DetectionReport:
     score: Optional[DetectionScore] = None
     #: Candidates skipped (not crashed on) for malformed geometry.
     quarantined: int = 0
-    #: The feedback kernel errored and was bypassed for this run.
+    #: A shard's feedback kernel errored, so feedback was bypassed for
+    #: the whole run.
     feedback_degraded: bool = False
     #: Who evaluated the shards: "serial" (the calling process),
     #: "process" (a supervised pool) or "fleet".
@@ -251,21 +257,13 @@ class HotspotDetector:
         return flags
 
     def _feedback_keep(self, flagged: Sequence[Clip]) -> Optional[np.ndarray]:
-        """The feedback kernel's keep mask, or ``None`` on degradation.
-
-        The feedback kernel is a precision refinement; when it errors
-        (corrupt state, injected fault) the detector degrades gracefully
-        to the primary kernel verdicts instead of failing the request.
-        """
+        """The feedback kernel's keep mask, or ``None`` on degradation
+        (see :func:`~repro.core.feedback.guarded_keep_mask`)."""
         assert self.feedback_ is not None
-        try:
-            return np.asarray(self.feedback_.keep_mask(flagged), dtype=bool)
-        except ReproError as exc:
-            get_logger("detector").error(
-                "feedback_degraded", error=str(exc), flagged=len(flagged)
-            )
+        keep = guarded_keep_mask(self.feedback_, flagged)
+        if keep is None:
             self._increment("feedback_degraded_total")
-            return None
+        return keep
 
     # ------------------------------------------------------------------
     # layout-level evaluation
@@ -294,17 +292,31 @@ class HotspotDetector:
         worker crash, hang or poison clip no longer kills the run.  A
         ``journal_dir`` makes either kind resumable.
 
+        The shards return margins and feedback verdicts, not clips.
+        ``detect`` flags every candidate whose margin reaches
+        ``threshold``, drops the flagged candidates the feedback kernel
+        reclaimed, and cuts from ``layout`` only the clips that survive,
+        for redundancy removal.  If any shard's feedback kernel errored,
+        every flagged candidate is kept and ``feedback_degraded`` is set.
+        ``threshold`` must lie above ``GATED_OUT``: gated-out candidates
+        carry no verdict.
+
         ``scan`` is an optional precomputed
         :class:`~repro.work.ScanResult` (e.g. from a
         :class:`repro.fleet.FleetCoordinator`); thresholding, feedback
-        filtering and redundancy removal then run on its margins through
-        this exact code path, so a distributed scan's report is
-        bit-identical to a local one.
+        filtering and redundancy removal then run on its margins and
+        verdicts through this exact code path, so a distributed scan's
+        report is bit-identical to a local one.
         """
         self._require_model()
         threshold = (
             self.config.decision_threshold if threshold is None else threshold
         )
+        if threshold <= GATED_OUT:
+            raise ValueError(
+                f"threshold {threshold} is at or below GATED_OUT ({GATED_OUT}): "
+                "gated-out candidates have no feedback verdict"
+            )
         started = time.perf_counter()
         cache_before = self._cache_snapshot()
         with trace("detector.detect", layer=layer, threshold=threshold) as span:
@@ -318,19 +330,12 @@ class HotspotDetector:
                 )
             else:
                 backend = "fleet"
-            candidates = scan.clips
             flags = scan.margins >= threshold
-            flagged = [clip for clip, f in zip(candidates, flags) if f]
-            before_feedback = len(flagged)
-
-            feedback_degraded = False
-            if self.feedback_ is not None and flagged:
-                with trace("detect.feedback", flagged=before_feedback):
-                    keep = self._feedback_keep(flagged)
-                    if keep is None:
-                        feedback_degraded = True
-                    else:
-                        flagged = [clip for clip, k in zip(flagged, keep) if k]
+            before_feedback = int(np.count_nonzero(flags))
+            feedback_degraded = scan.feedback_degraded
+            if not feedback_degraded:
+                flags &= scan.verdicts
+            flagged = scan.cut(np.flatnonzero(flags))
             after_feedback = len(flagged)
 
             if self.config.use_removal and flagged:
@@ -344,7 +349,7 @@ class HotspotDetector:
                 reports = flagged
             reports = [r.with_label(ClipLabel.HOTSPOT) for r in reports]
             span.set(
-                candidates=len(candidates),
+                candidates=scan.candidate_count,
                 flagged_before_feedback=before_feedback,
                 flagged_after_feedback=after_feedback,
                 reports=len(reports),
@@ -352,6 +357,8 @@ class HotspotDetector:
                 feedback_degraded=feedback_degraded,
                 backend=backend,
             )
+        if feedback_degraded:
+            self._increment("feedback_degraded_total")
         if scan.quarantined:
             self._increment("quarantined_inputs_total", scan.quarantined)
         self._increment("worker_restarts_total", scan.stats.worker_restarts)

@@ -35,8 +35,8 @@ class ExtractionReport:
     scan journals them per shard and sums them on incremental reuse, and
     the differential harness (``tests/test_differential.py``) asserts
     they match the uncached scan exactly — so they must not depend on
-    work partitioning.  :class:`repro.work.ScanResult` extends this
-    report with the scan's margins and shard counters.
+    work partitioning.  :class:`repro.work.ScanResult` carries the same
+    counts for a whole scan, with candidate anchors in place of clips.
     """
 
     clips: list[Clip]

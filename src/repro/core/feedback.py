@@ -25,9 +25,10 @@ import numpy as np
 from repro.core.config import DetectorConfig
 from repro.core.resample import balancing_class_weights
 from repro.core.training import HOTSPOT, NON_HOTSPOT, MultiKernelModel
+from repro.errors import ReproError
 from repro.features.vector import ExtractedFeatures, FeatureExtractor, FeatureSchema
 from repro.layout.clip import Clip
-from repro.obs import trace
+from repro.obs import get_logger, trace
 from repro.svm.grid_search import IterativeConfig, train_iterative
 from repro.svm.model import SupportVectorClassifier
 from repro.topology.cluster import ClassifierConfig, TopologicalClassifier
@@ -70,6 +71,24 @@ class FeedbackKernel:
             self.model.far_field_floor, 0.05
         )
         return (margins >= threshold) | unknown
+
+
+def guarded_keep_mask(
+    feedback: FeedbackKernel, clips: Sequence[Clip]
+) -> Optional[np.ndarray]:
+    """``feedback.keep_mask(clips)``, or ``None`` when the kernel errors.
+
+    The feedback kernel is a precision refinement; when it errors
+    (corrupt state, injected fault) the caller degrades to the primary
+    kernels' verdicts instead of failing, and the error is logged here.
+    """
+    try:
+        return np.asarray(feedback.keep_mask(clips), dtype=bool)
+    except ReproError as exc:
+        get_logger("detector").error(
+            "feedback_degraded", error=str(exc), clips=len(clips)
+        )
+        return None
 
 
 def _ambit_extractor(config: DetectorConfig) -> FeatureExtractor:

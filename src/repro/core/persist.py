@@ -126,6 +126,17 @@ def _decode_feature_config(payload: dict) -> FeatureConfig:
     return FeatureConfig(**payload)
 
 
+def encode_feedback_kernel(feedback, arrays: dict) -> dict:
+    """A feedback kernel's JSON metadata; its SVM arrays go into ``arrays``."""
+    return {
+        "schema": _encode_schema(feedback.schema),
+        "svc": _encode_svc(feedback.model, arrays, "fb"),
+        "features": _encode_feature_config(feedback.extractor.config),
+        "extras_used": feedback.extras_used,
+        "hotspots_used": feedback.hotspots_used,
+    }
+
+
 def encode_trained_kernel(kernel: TrainedKernel, arrays: dict, prefix: str) -> dict:
     """Encode one kernel into ``arrays`` (mutated) plus a JSON-safe meta.
 
@@ -211,13 +222,7 @@ def save_detector(
     ]
     feedback_meta = None
     if detector.feedback_ is not None:
-        feedback_meta = {
-            "schema": _encode_schema(detector.feedback_.schema),
-            "svc": _encode_svc(detector.feedback_.model, arrays, "fb"),
-            "features": _encode_feature_config(detector.feedback_.extractor.config),
-            "extras_used": detector.feedback_.extras_used,
-            "hotspots_used": detector.feedback_.hotspots_used,
-        }
+        feedback_meta = encode_feedback_kernel(detector.feedback_, arrays)
     meta = {
         "format": FORMAT_VERSION,
         "decision_threshold": detector.config.decision_threshold,

@@ -155,7 +155,7 @@ class FleetCoordinator:
             or config.spec.clip_side * DEFAULT_SHARD_CLIPS
         )
         self.fingerprint = scan_fingerprint(
-            layout, layer, config, model, self.shard_side
+            layout, layer, config, model, detector.feedback_, self.shard_side
         )
         self.cells = shard_cells(layout, config.spec, layer, self.shard_side)
         self.shards = [anchors for _, anchors in self.cells]
@@ -171,7 +171,9 @@ class FleetCoordinator:
         if self.options.journal_dir is not None:
             self.journal, self._resumed = open_shard_journal(
                 self.options.journal_dir,
-                scan_base_fingerprint(layer, config, model, self.shard_side),
+                scan_base_fingerprint(
+                    layer, config, model, detector.feedback_, self.shard_side
+                ),
                 self.shard_side,
                 self.cells,
                 self._geometry,
@@ -882,8 +884,8 @@ class FleetCoordinator:
 
         Exactly :func:`~repro.work.shard._merge_shards` — the same code
         path every local scan uses, so a fleet scan's
-        hotspot set, margins and funnel counts are bit-identical to a
-        local scan of the same layout.  Raises
+        hotspot set, margins, verdicts and funnel counts are
+        bit-identical to a local scan of the same layout.  Raises
         :class:`~repro.errors.ScanDrainedError` while shards are still
         outstanding (the journal keeps what finished).
         """

@@ -10,8 +10,9 @@ margins computed under different state.
 Per lease, a background heartbeat thread extends the lease at TTL/3
 while the main thread evaluates the shard with
 :func:`~repro.work.shard.evaluate_shard` — the one shard evaluator
-every local scan runs too; the clips stay behind (the coordinator
-re-cuts them at merge, so the result is bit-identical).  A heartbeat answered with ``lost`` makes the
+every local scan runs too, feedback verdicts included — and pushes the
+record of anchors, margins and verdicts; clips never leave the worker.
+A heartbeat answered with ``lost`` makes the
 evaluation's push come back ``stale``; both are normal outcomes of
 lease reassignment and the worker just asks for the next shard.
 
@@ -261,6 +262,7 @@ class FleetWorker:
             int(config["layer"]),
             self.detector.config,
             self.detector.model_,
+            self.detector.feedback_,
             int(config["shard_side"]),
         )
         if fingerprint != config["fingerprint"]:
@@ -506,8 +508,8 @@ class FleetWorker:
                 anchors=len(anchors),
             ):
                 record = evaluate_shard(
-                    self.detector.config, self.detector.model_, self.layout,
-                    layer, anchors,
+                    self.detector.config, self.detector.model_,
+                    self.detector.feedback_, self.layout, layer, anchors,
                 )
             record.shard_id = shard_id
             cell = lease_doc.get("cell")

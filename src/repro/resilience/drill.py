@@ -636,9 +636,11 @@ class ChaosDrill:
                 extraction.rejected_density,
                 extraction.rejected_count,
                 extraction.rejected_boundary,
-                len(extraction.clips),
+                extraction.candidate_count,
+                result.flagged_before_feedback,
+                result.flagged_after_feedback,
             )
-            return cores, funnel, detector.margins(extraction.clips)
+            return cores, funnel, extraction.margins, extraction.verdicts
 
         left = _signature(reference)
         right = _signature(drill_result)
@@ -646,6 +648,7 @@ class ChaosDrill:
             left[0] == right[0]
             and left[1] == right[1]
             and np.array_equal(left[2], right[2])
+            and np.array_equal(left[3], right[3])
         )
         if not report.identical:
             report.error = (

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.core.training import GATED_OUT
 from repro.errors import ServeError
 from repro.geometry.rect import Rect
 from repro.layout.clip import Clip, ClipSpec
@@ -183,10 +184,15 @@ def decode_scan_request(
     if not rects:
         raise ProtocolError("'rects' must be a non-empty list")
     layer = _get_layer(document)
+    threshold = _get_threshold(document)
+    if threshold is not None and threshold <= GATED_OUT:
+        raise ProtocolError(
+            f"scan threshold must be above GATED_OUT ({GATED_OUT:g})"
+        )
     layout = Layout()
     for rect in rects:
         layout.add_rect(layer, rect)
-    return layout, layer, _get_threshold(document), _get_model(document)
+    return layout, layer, threshold, _get_model(document)
 
 
 def encode_scan_response(model: str, report, request_id: Optional[str] = None) -> dict:

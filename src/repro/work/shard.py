@@ -12,12 +12,20 @@ journal directory, every completed shard is appended to an on-disk
 resumes from the completed shards instead of restarting a multi-hour
 scan from zero.
 
+Each shard comes back as a record of candidate anchors, margins,
+feedback verdicts and funnel counts, never clips: the same shape
+in-process, from the pool, from a fleet worker and from the journal.
+``HotspotDetector.detect`` thresholds the merged margins, applies the
+verdicts and cuts only the clips it reports; :class:`ScanResult` cuts
+the rest only when asked for them.
+
 Bit-identical by construction: anchors are bucketed into half-open
 shard windows (each anchor belongs to exactly one shard), every shard
 cuts its clips from the *full* layout (shard membership never changes a
-clip's content), margins are row-independent, and the merged
-candidates are re-sorted into global anchor order — so serial, pool and
-fleet scans, faulted + resumed or not, yield the same hotspot set.
+clip's content), margins and verdicts are row-independent, and the
+merged candidates are re-sorted into global anchor order — so serial,
+pool and fleet scans, faulted + resumed or not, yield the same hotspot
+set.
 
 The journal (``<layout>.scanjournal/`` by default) is a
 :class:`~repro.resilience.checkpoint.Journal`: one unit per completed
@@ -25,14 +33,16 @@ shard, keyed by the shard's grid-cell origin plus its influence-region
 geometry hash (:func:`shard_key`), its payload the
 :func:`encode_shard_record` npz.  The header identity is the journal
 version, :func:`scan_base_fingerprint` (detector config minus the
-decision threshold, trained kernels, layer, shard grid) and the shard
-side; a journal of another identity is discarded with a warning, never
-mixed in.  A resumed scan reuses every journaled shard whose key is in
-its own shard plan, so ``--resume`` after an edit — like
-``--incremental``, which differs only in keeping the journal after
-success — re-evaluates just the shards whose influence region changed.
-Margins are threshold-independent, so a journaled run may resume under
-a different ``--threshold``.
+decision threshold, trained kernels, feedback kernel, layer, shard
+grid) and the shard side; a journal of another identity is discarded
+with a warning, never mixed in.  A resumed scan reuses every journaled
+shard whose key is in its own shard plan, so ``--resume`` after an
+edit — like ``--incremental``, which differs only in keeping the
+journal after success — re-evaluates just the shards whose influence
+region changed.
+Margins and verdicts are threshold-independent, so a journaled run may
+resume under a different ``--threshold``.  A shard whose feedback
+kernel errored is never journaled, so the next run evaluates it again.
 
 A task that repeatedly kills workers is bisected down the anchor list
 until the single offending anchor is isolated; that anchor lands in the
@@ -54,7 +64,8 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core import extraction
-from repro.core.extraction import ExtractionReport
+from repro.core.feedback import guarded_keep_mask
+from repro.core.training import GATED_OUT
 from repro.errors import CheckpointError, NotFittedError, ScanDrainedError
 from repro.geometry.rect import Rect
 from repro.layout.clip import Clip
@@ -66,8 +77,9 @@ from repro.work.pool import PoolConfig, PoolStats, PoolTask, SupervisedPool
 
 #: Bump on breaking journal-layout changes.  Version 3 keys every shard
 #: by its cell origin and geometry hash in the shared
-#: :class:`~repro.resilience.checkpoint.Journal`.
-SCAN_JOURNAL_VERSION = 3
+#: :class:`~repro.resilience.checkpoint.Journal`; version 4 stores
+#: feedback verdicts and covers the feedback kernel in the identity.
+SCAN_JOURNAL_VERSION = 4
 
 #: Default shard edge, in multiples of the clip side: big enough that
 #: per-shard overhead amortises, small enough that losing one shard to a
@@ -115,35 +127,82 @@ class ScanOptions:
 
 
 @dataclass
-class ScanResult(ExtractionReport):
-    """Merged output of a scan: the candidates and funnel counts, in
-    global anchor order, plus each candidate's margin and the shard and
-    pool counters."""
+class ScanResult:
+    """Merged output of a scan, in global anchor order: each candidate's
+    anchor, margin and feedback verdict, the funnel counts, and the
+    shard and pool counters.
 
+    Candidate clips are not kept: :meth:`cut` cuts the ones asked for
+    from the scanned layout, and :attr:`clips` cuts (once) all of them.
+    """
+
+    #: Lower-left corner of each candidate's core.
+    anchors: list[tuple[int, int]] = field(default_factory=list)
     margins: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    #: False where the feedback kernel reclaimed a gated candidate
+    #: (margin above ``GATED_OUT``); True everywhere else.
+    verdicts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    anchor_count: int = 0
+    rejected_density: int = 0
+    rejected_count: int = 0
+    rejected_boundary: int = 0
+    #: Anchors whose clip could not be cut/validated; skipped, not fatal.
+    quarantined: int = 0
+    #: Some shard's feedback kernel errored: its verdicts are void, and
+    #: ``detect`` keeps every flagged candidate of every shard.
+    feedback_degraded: bool = False
     stats: PoolStats = field(default_factory=PoolStats)
     shards_total: int = 0
     shards_resumed: int = 0
     #: The same journal matches, counted here instead of in
     #: ``shards_resumed`` when the scan is incremental.
     shards_reused: int = 0
+    #: Where :meth:`cut` cuts candidates from.
+    layout: object = field(default=None, repr=False, compare=False)
+    spec: object = field(default=None, repr=False, compare=False)
+    layer: int = 1
+    _clips: Optional[list[Clip]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def candidate_count(self) -> int:
+        return len(self.anchors)
+
+    def cut(self, indices) -> list[Clip]:
+        """The candidate clips at ``indices``, cut from the layout."""
+        side = self.spec.core_side
+        return [
+            self.layout.cut_clip_at_core(
+                self.spec, Rect(x, y, x + side, y + side), self.layer
+            )
+            for x, y in (self.anchors[i] for i in indices)
+        ]
+
+    @property
+    def clips(self) -> list[Clip]:
+        """Every candidate clip, cut on first access."""
+        if self._clips is None:
+            self._clips = self.cut(range(len(self.anchors)))
+        return self._clips
 
 
 @dataclass
 class _ShardRecord:
-    """One completed shard: candidate anchors, margins, funnel counts."""
+    """One completed shard: candidate anchors, margins, feedback
+    verdicts (see :attr:`ScanResult.verdicts`), funnel counts."""
 
     shard_id: int
     anchors: list[tuple[int, int]]
     margins: np.ndarray
+    verdicts: np.ndarray
     anchor_count: int
     rejected_density: int = 0
     rejected_count: int = 0
     rejected_boundary: int = 0
     quarantine: dict = field(default_factory=dict)
-    #: Candidate clips, parallel to ``anchors``; ``None`` for shards
-    #: loaded from the journal (re-cut from the layout at merge time).
-    clips: Optional[list[Clip]] = None
+    #: The feedback kernel errored on this shard; its verdicts are void.
+    feedback_degraded: bool = False
     #: Absolute DBU origin of the shard's grid cell (stable across runs
     #: as long as the layer bounding box is stable; shard *ids* are not).
     cell: Optional[tuple[int, int]] = None
@@ -159,22 +218,19 @@ class _ShardRecord:
 # ----------------------------------------------------------------------
 # fingerprint
 # ----------------------------------------------------------------------
-def _model_hash(model) -> str:
-    """Hash of the trained model state margins depend on."""
-    from repro.cache.keys import model_fingerprint
-
-    return model_fingerprint(model)
-
-
-def scan_base_fingerprint(layer: int, config, model, shard_side: int) -> str:
+def scan_base_fingerprint(
+    layer: int, config, model, feedback, shard_side: int
+) -> str:
     """The layout-independent part of the scan fingerprint.
 
     The scan journal's identity: the *layout* may differ between a run
     and its resume (per-shard keys cover that), but the config, model,
-    layer and shard grid must match for any per-shard reuse to be sound.
-    The decision threshold is excluded — margins are computed before
+    feedback kernel (or its absence), layer and shard grid must match
+    for any per-shard reuse to be sound.  The decision threshold is
+    excluded — margins and feedback verdicts are computed before
     thresholding, so a resume may change it freely.
     """
+    from repro.cache.keys import feedback_fingerprint, model_fingerprint
     from repro.obs import config_summary
 
     summary = config_summary(config)
@@ -183,7 +239,8 @@ def scan_base_fingerprint(layer: int, config, model, shard_side: int) -> str:
         {
             "version": SCAN_JOURNAL_VERSION,
             "config": summary,
-            "model": _model_hash(model),
+            "model": model_fingerprint(model),
+            "feedback": feedback_fingerprint(feedback),
             "layer": layer,
             "shard_side": shard_side,
         },
@@ -193,11 +250,13 @@ def scan_base_fingerprint(layer: int, config, model, shard_side: int) -> str:
     return sha256(blob.encode("utf-8")).hexdigest()
 
 
-def scan_fingerprint(layout, layer: int, config, model, shard_side: int) -> str:
+def scan_fingerprint(
+    layout, layer: int, config, model, feedback, shard_side: int
+) -> str:
     """Hash of everything a fleet worker must share with its coordinator."""
     blob = json.dumps(
         {
-            "base": scan_base_fingerprint(layer, config, model, shard_side),
+            "base": scan_base_fingerprint(layer, config, model, feedback, shard_side),
             "layout": fingerprint_layout(layout.layer(layer)),
         },
         sort_keys=True,
@@ -231,10 +290,11 @@ def shard_geometry_hash(
 def encode_shard_record(record: _ShardRecord) -> bytes:
     """Serialise one shard record to compressed npz bytes.
 
-    ``anchors`` (N,2) int64 + ``margins`` (N,) float64 + a JSON ``meta``
-    blob (funnel counts, quarantine dump, cell origin, geometry hash).
-    float64 round-trips exactly through npz, which is what makes both
-    journal resume and fleet push/merge bit-identical.
+    ``anchors`` (N,2) int64 + ``margins`` (N,) float64 + ``verdicts``
+    (N,) bool + a JSON ``meta`` blob (funnel counts, quarantine dump,
+    feedback degradation, cell origin, geometry hash).  float64
+    round-trips exactly through npz, which is what makes both journal
+    resume and fleet push/merge bit-identical.
     """
     anchors = np.asarray(
         record.anchors if record.anchors else np.zeros((0, 2)), dtype=np.int64
@@ -246,6 +306,7 @@ def encode_shard_record(record: _ShardRecord) -> bytes:
         "rejected_count": record.rejected_count,
         "rejected_boundary": record.rejected_boundary,
         "quarantine": record.quarantine,
+        "feedback_degraded": record.feedback_degraded,
         "cell": list(record.cell) if record.cell is not None else None,
         "geometry_sha": record.geometry_sha,
         "wall_s": round(record.wall_s, 6),
@@ -255,6 +316,7 @@ def encode_shard_record(record: _ShardRecord) -> bytes:
         buffer,
         anchors=anchors,
         margins=np.asarray(record.margins, dtype=float),
+        verdicts=np.asarray(record.verdicts, dtype=bool),
         meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8).copy(),
     )
     return buffer.getvalue()
@@ -269,36 +331,45 @@ def decode_shard_record(raw: bytes, shard_id: int) -> _ShardRecord:
     with np.load(BytesIO(raw)) as archive:
         anchors = archive["anchors"]
         margins = archive["margins"]
+        verdicts = archive["verdicts"]
         meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
     if len(anchors) != len(margins):
         raise ValueError("anchors/margins length mismatch")
+    if len(anchors) != len(verdicts):
+        raise ValueError("anchors/verdicts length mismatch")
     cell = meta.get("cell")
     return _ShardRecord(
         shard_id=shard_id,
         anchors=[(int(x), int(y)) for x, y in anchors],
         margins=np.asarray(margins, dtype=float),
+        verdicts=np.asarray(verdicts, dtype=bool),
         anchor_count=int(meta.get("anchor_count", len(anchors))),
         rejected_density=int(meta.get("rejected_density", 0)),
         rejected_count=int(meta.get("rejected_count", 0)),
         rejected_boundary=int(meta.get("rejected_boundary", 0)),
         quarantine=dict(meta.get("quarantine", {})),
-        clips=None,
+        feedback_degraded=bool(meta.get("feedback_degraded", False)),
         cell=(int(cell[0]), int(cell[1])) if cell else None,
         geometry_sha=str(meta.get("geometry_sha", "")),
         wall_s=float(meta.get("wall_s", 0.0)),
     )
 
 
-def evaluate_shard(config, model, layout, layer: int, anchors) -> _ShardRecord:
-    """Extract and score one anchor list: the scan's only shard evaluator.
+def evaluate_shard(
+    config, model, feedback, layout, layer: int, anchors
+) -> _ShardRecord:
+    """Extract, score and judge one anchor list: the scan's only shard
+    evaluator.
 
     The in-process scan, the pool task (:func:`_scan_shard_task`) and the
     fleet worker all call it.  Candidates come back in the order of
-    ``anchors`` with their margins, funnel counts and quarantine dump;
-    the caller stamps ``shard_id``/``cell``/``geometry_sha``.  The fleet
-    ships the record without its clips, and the merge re-cuts them from
-    the full layout, deterministically, exactly as it does for
-    journal-resumed shards.
+    ``anchors`` with their margins, feedback verdicts, funnel counts and
+    quarantine dump; the caller stamps ``shard_id``/``cell``/
+    ``geometry_sha``.  ``feedback`` (the detector's feedback kernel, or
+    ``None``) judges every gated candidate — every margin above
+    ``GATED_OUT``, whatever the threshold — so the verdicts, like the
+    margins, can be journaled and thresholded later.  The clips
+    themselves stay behind.
     """
     started = time.perf_counter()
     quarantine = QuarantineReport()
@@ -324,16 +395,27 @@ def evaluate_shard(config, model, layout, layer: int, anchors) -> _ShardRecord:
             if report.clips
             else np.zeros(0)
         )
+    verdicts = np.ones(len(margins), dtype=bool)
+    degraded = False
+    gated = np.flatnonzero(margins > GATED_OUT)
+    if feedback is not None and len(gated):
+        with trace("detect.feedback", gated=len(gated)):
+            keep = guarded_keep_mask(feedback, [report.clips[i] for i in gated])
+        if keep is None:
+            degraded = True
+        else:
+            verdicts[gated] = keep
     return _ShardRecord(
         shard_id=-1,
         anchors=[(clip.core.x0, clip.core.y0) for clip in report.clips],
         margins=margins,
+        verdicts=verdicts,
         anchor_count=report.anchor_count,
         rejected_density=report.rejected_density,
         rejected_count=report.rejected_count,
         rejected_boundary=report.rejected_boundary,
         quarantine=quarantine.to_dict(),
-        clips=report.clips,
+        feedback_degraded=degraded,
         wall_s=time.perf_counter() - started,
     )
 
@@ -368,7 +450,13 @@ def open_shard_journal(
 
 
 def journal_shard(journal: Journal, record: _ShardRecord) -> None:
-    """Journal one completed shard (its ``cell`` and hash already set)."""
+    """Journal one completed shard (its ``cell`` and hash already set).
+
+    A shard whose feedback kernel errored is left out, so a resumed or
+    incremental run evaluates it again instead of reusing void verdicts.
+    """
+    if record.feedback_degraded:
+        return
     journal.record(
         shard_key(record.cell, record.geometry_sha),
         encode_shard_record(record),
@@ -387,11 +475,14 @@ class _WorkerState:
 
     config: object
     model: object
+    feedback: object
     layout: object
     layer: int
 
 
-def _scan_worker_init(config, model, layout, layer, cache_dir=None) -> _WorkerState:
+def _scan_worker_init(
+    config, model, feedback, layout, layer, cache_dir=None
+) -> _WorkerState:
     if cache_dir is not None:
         # Each worker opens its own handle on the shared disk tier; the
         # in-memory LRU (with its lock) never crosses the process
@@ -402,13 +493,19 @@ def _scan_worker_init(config, model, layout, layer, cache_dir=None) -> _WorkerSt
         cache = HotspotCache(directory=cache_dir)
         model.cache = cache
         model.extractor.cache = cache
-    return _WorkerState(config=config, model=model, layout=layout, layer=layer)
+        if feedback is not None:
+            feedback.extractor.cache = cache
+    return _WorkerState(
+        config=config, model=model, feedback=feedback, layout=layout, layer=layer
+    )
 
 
 def _scan_shard_task(state: _WorkerState, payload) -> _ShardRecord:
     """Pool task: evaluate one (possibly bisected) shard's anchor list."""
     _, anchors = payload
-    return evaluate_shard(state.config, state.model, state.layout, state.layer, anchors)
+    return evaluate_shard(
+        state.config, state.model, state.feedback, state.layout, state.layer, anchors
+    )
 
 
 # ----------------------------------------------------------------------
@@ -452,10 +549,10 @@ def run_sharded_scan(
 ) -> ScanResult:
     """Scan a layout shard by shard; see module docs.
 
-    Returns the merged candidates + margins in global anchor order.  An
-    in-process scan (``options.workers == 0``) reads the detector's
-    model and cache and writes no detector state, so concurrent calls on
-    one detector are safe.  Raises
+    Returns the merged candidates' anchors, margins and verdicts in
+    global anchor order.  An in-process scan (``options.workers == 0``)
+    reads the detector's model, feedback kernel and cache and writes no
+    detector state, so concurrent calls on one detector are safe.  Raises
     :class:`~repro.errors.ScanDrainedError` when ``options.stop_event``
     drains the scan before every shard completed (finished shards stay
     journaled for ``resume``).
@@ -464,6 +561,7 @@ def run_sharded_scan(
     model = detector.model_
     if model is None:
         raise NotFittedError("sharded scan used before fit()")
+    feedback = detector.feedback_
     config = detector.config
     shard_side = options.shard_side or config.spec.clip_side * DEFAULT_SHARD_CLIPS
     if options.incremental and options.journal_dir is None:
@@ -486,7 +584,7 @@ def run_sharded_scan(
             ]
             journal, resumed = open_shard_journal(
                 options.journal_dir,
-                scan_base_fingerprint(layer, config, model, shard_side),
+                scan_base_fingerprint(layer, config, model, feedback, shard_side),
                 shard_side,
                 cells,
                 geometry_hashes,
@@ -533,11 +631,9 @@ def run_sharded_scan(
             # A bisected shard completes in several parts, in any order.
             merged = sorted(
                 (
-                    (anchor, clip, margin)
+                    item
                     for part in shard_parts
-                    for anchor, clip, margin in zip(
-                        part.anchors, part.clips, part.margins
-                    )
+                    for item in zip(part.anchors, part.margins, part.verdicts)
                 ),
                 key=lambda item: item[0],
             )
@@ -550,13 +646,14 @@ def run_sharded_scan(
             record = _ShardRecord(
                 shard_id=shard_id,
                 anchors=[item[0] for item in merged],
-                margins=np.asarray([item[2] for item in merged], dtype=float),
+                margins=np.asarray([item[1] for item in merged], dtype=float),
+                verdicts=np.asarray([item[2] for item in merged], dtype=bool),
                 anchor_count=sum(part.anchor_count for part in shard_parts),
                 rejected_density=sum(part.rejected_density for part in shard_parts),
                 rejected_count=sum(part.rejected_count for part in shard_parts),
                 rejected_boundary=sum(part.rejected_boundary for part in shard_parts),
                 quarantine=shard_quarantine.to_dict(),
-                clips=[item[1] for item in merged],
+                feedback_degraded=any(part.feedback_degraded for part in shard_parts),
                 cell=cells[shard_id][0],
                 geometry_sha=geometry_hashes[shard_id] if geometry_hashes else "",
                 wall_s=sum(part.wall_s for part in shard_parts),
@@ -612,7 +709,9 @@ def run_sharded_scan(
                 if options.stop_event is not None and options.stop_event.is_set():
                     break
                 _, anchors = task.payload
-                on_result(task, evaluate_shard(config, model, layout, layer, anchors))
+                on_result(
+                    task, evaluate_shard(config, model, feedback, layout, layer, anchors)
+                )
         elif tasks:
             # Every shard may come from the journal (a fully-unchanged
             # incremental rescan): then there is nothing to fork for.
@@ -622,7 +721,7 @@ def run_sharded_scan(
             pool = SupervisedPool(
                 replace(options.pool or PoolConfig(), workers=options.workers),
                 init_fn=_scan_worker_init,
-                init_args=(config, model, layout, layer, cache_dir),
+                init_args=(config, model, feedback, layout, layer, cache_dir),
             )
             stats = pool.run(
                 tasks,
@@ -666,8 +765,7 @@ def _merge_shards(
     stats: PoolStats,
 ) -> ScanResult:
     """Merge shard records into the global (anchor-sorted) candidate list."""
-    spec = detector.config.spec
-    triples: list[tuple[tuple[int, int], Clip, float]] = []
+    triples: list[tuple[tuple[int, int], float, bool]] = []
     anchor_count = 0
     rejected = [0, 0, 0]
     quarantined = 0
@@ -682,26 +780,21 @@ def _merge_shards(
             quarantined += shard_quarantine.total
             if quarantine is not None:
                 quarantine.merge(shard_quarantine)
-        clips = record.clips
-        if clips is None:
-            # Journal-resumed shard: re-cut the candidates from the full
-            # layout — deterministic, so identical to the original clips.
-            clips = [
-                layout.cut_clip_at_core(
-                    spec, Rect(x, y, x + spec.core_side, y + spec.core_side), layer
-                )
-                for x, y in record.anchors
-            ]
-        triples.extend(zip(record.anchors, clips, record.margins))
+        triples.extend(zip(record.anchors, record.margins, record.verdicts))
     triples.sort(key=lambda item: item[0])
     return ScanResult(
-        clips=[clip for _, clip, _ in triples],
-        margins=np.asarray([margin for _, _, margin in triples], dtype=float),
+        anchors=[anchor for anchor, _, _ in triples],
+        margins=np.asarray([margin for _, margin, _ in triples], dtype=float),
+        verdicts=np.asarray([verdict for _, _, verdict in triples], dtype=bool),
         anchor_count=anchor_count,
         rejected_density=rejected[0],
         rejected_count=rejected[1],
         rejected_boundary=rejected[2],
         quarantined=quarantined,
+        feedback_degraded=any(record.feedback_degraded for record in completed.values()),
         stats=stats,
         shards_total=len(shards),
+        layout=layout,
+        spec=detector.config.spec,
+        layer=layer,
     )

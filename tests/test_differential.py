@@ -64,13 +64,19 @@ def signature(detector, report):
         len(extraction.clips),
     )
     margins = detector.margins(extraction.clips)
-    return cores, funnel, margins
+    feedback = (
+        report.flagged_before_feedback,
+        report.flagged_after_feedback,
+        tuple(extraction.verdicts.tolist()),
+    )
+    return cores, funnel, margins, feedback
 
 
 def assert_identical(left, right):
     assert left[0] == right[0]  # hotspot report set
     assert left[1] == right[1]  # extraction funnel counts
     assert np.array_equal(left[2], right[2])  # margins, bit-identical
+    assert left[3] == right[3]  # flagged before/after feedback, verdicts
 
 
 def copy_layout(layout, layer, extra=None):

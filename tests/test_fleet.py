@@ -11,6 +11,7 @@ never decoded).
 
 from __future__ import annotations
 
+import copy
 import os
 import subprocess
 import sys
@@ -42,7 +43,7 @@ from repro.fleet import (
 from repro.fleet.protocol import BLOB_TYPE, JSON_TYPE, wait_until
 from repro.layout.io import save_layout_gds
 from repro.resilience import faults
-from repro.work.shard import encode_shard_record, evaluate_shard
+from repro.work.shard import encode_shard_record, evaluate_shard, scan_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -74,13 +75,19 @@ def signature(detector, report):
         len(extraction.clips),
     )
     margins = detector.margins(extraction.clips)
-    return cores, funnel, margins
+    feedback = (
+        report.flagged_before_feedback,
+        report.flagged_after_feedback,
+        tuple(extraction.verdicts.tolist()),
+    )
+    return cores, funnel, margins, feedback
 
 
 def assert_identical(left, right):
     assert left[0] == right[0]  # hotspot report set
     assert left[1] == right[1]  # extraction funnel counts
     assert np.array_equal(left[2], right[2])  # margins, bit-identical
+    assert left[3] == right[3]  # flagged before/after feedback, verdicts
 
 
 def run_fleet(detector, layout, worker_count, options=None, layer=1):
@@ -322,14 +329,29 @@ class TestLeaseProtocol:
         self, detached, small_benchmark
     ):
         layout = small_benchmark.testing.layout
+        # A worker whose feedback kernel differs would return other
+        # verdicts, so its scan fingerprint differs too.
+        other_feedback = copy.deepcopy(detached.feedback_)
+        other_feedback.model.dual_coef_ = other_feedback.model.dual_coef_ * 2
         with FleetCoordinator(detached, layout) as coordinator:
-            status, document = FleetClient(coordinator.url).post_json(
-                "/fleet/v1/lease",
-                {"worker": "imposter", "fingerprint": "0" * 64},
-            )
-        assert status == 409
-        assert document["status"] == "fingerprint_mismatch"
-        assert document["expected"] == coordinator.fingerprint
+            imposters = [
+                "0" * 64,
+                scan_fingerprint(
+                    layout, 1, detached.config, detached.model_,
+                    other_feedback, coordinator.shard_side,
+                ),
+            ]
+            answers = [
+                FleetClient(coordinator.url).post_json(
+                    "/fleet/v1/lease",
+                    {"worker": "imposter", "fingerprint": fingerprint},
+                )
+                for fingerprint in imposters
+            ]
+        for status, document in answers:
+            assert status == 409
+            assert document["status"] == "fingerprint_mismatch"
+            assert document["expected"] == coordinator.fingerprint
 
     def test_corrupt_push_rejected_then_first_valid_push_wins(
         self, detached, small_benchmark
@@ -357,6 +379,7 @@ class TestLeaseProtocol:
             record = evaluate_shard(
                 detached.config,
                 detached.model_,
+                detached.feedback_,
                 layout,
                 1,
                 granted["anchors"],

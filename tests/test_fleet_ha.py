@@ -65,13 +65,19 @@ def signature(detector, report):
         len(extraction.clips),
     )
     margins = detector.margins(extraction.clips)
-    return cores, funnel, margins
+    feedback = (
+        report.flagged_before_feedback,
+        report.flagged_after_feedback,
+        tuple(extraction.verdicts.tolist()),
+    )
+    return cores, funnel, margins, feedback
 
 
 def assert_identical(left, right):
     assert left[0] == right[0]  # hotspot report set
     assert left[1] == right[1]  # extraction funnel counts
     assert np.array_equal(left[2], right[2])  # margins, bit-identical
+    assert left[3] == right[3]  # flagged before/after feedback, verdicts
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +90,7 @@ def reference(fitted, small_benchmark):
     blobs = {}
     for shard_id, (_, anchors) in enumerate(shard_map.cells):
         record = evaluate_shard(
-            fitted.config, fitted.model_, layout, 1, anchors
+            fitted.config, fitted.model_, fitted.feedback_, layout, 1, anchors
         )
         record.shard_id = shard_id
         blobs[shard_id] = wrap_blob(encode_shard_record(record))

@@ -18,6 +18,13 @@ def fitted(small_benchmark):
     return detector
 
 
+@pytest.fixture(scope="module")
+def ambit_fitted(ambit_benchmark):
+    detector = HotspotDetector(DetectorConfig.ours())
+    detector.fit(ambit_benchmark.training)
+    return detector
+
+
 class TestExplain:
     def test_unfitted_raises(self, small_benchmark):
         with pytest.raises(NotFittedError):
@@ -73,11 +80,12 @@ class TestSweep:
         with pytest.raises(NotFittedError):
             sweep_thresholds(HotspotDetector(), small_benchmark.testing)
 
-    def test_point_at_detector_threshold_matches_detect(self, ambit_benchmark):
+    def test_point_at_detector_threshold_matches_detect(
+        self, ambit_fitted, ambit_benchmark
+    ):
         # The feedback kernel refines the flag set; the sweep must apply
         # it exactly as detect() does, or its points disagree with scans.
-        detector = HotspotDetector(DetectorConfig.ours())
-        detector.fit(ambit_benchmark.training)
+        detector = ambit_fitted
         assert detector.feedback_ is not None
         threshold = detector.config.decision_threshold
         (point,) = sweep_thresholds(
@@ -85,6 +93,30 @@ class TestSweep:
         )
         score = detector.score(ambit_benchmark.testing).score
         assert (point.score.hits, point.score.extras) == (score.hits, score.extras)
+
+    def test_shard_verdicts_equal_feedback_on_the_flagged_clips(
+        self, ambit_fitted, ambit_benchmark
+    ):
+        # The shards judge every gated candidate once; at any threshold
+        # the verdicts of the flagged ones must equal keep_mask over
+        # just those clips, and every sweep point must equal detect.
+        detector = ambit_fitted
+        testing = ambit_benchmark.testing
+        thresholds = (-0.5, 0.0, 0.5)
+        points = sweep_thresholds(detector, testing, thresholds=thresholds)
+        scan = detector.detect(testing.layout).extraction
+        assert not scan.verdicts.all()  # the kernel does reclaim clips here
+        for threshold, point in zip(thresholds, points):
+            report = detector.score(testing, threshold=threshold)
+            assert (point.score.hits, point.score.extras) == (
+                report.score.hits,
+                report.score.extras,
+            )
+            flagged = np.flatnonzero(scan.margins >= threshold)
+            keep = detector.feedback_.keep_mask(scan.cut(flagged))
+            assert np.array_equal(scan.verdicts[flagged], keep)
+            assert report.flagged_before_feedback == len(flagged)
+            assert report.flagged_after_feedback == int(np.count_nonzero(keep))
 
     def test_knee_point_selection(self):
         def pt(threshold, hits, extras, actual=10):

@@ -453,6 +453,15 @@ class TestHttpApi:
         }
         assert reported == expected
 
+    def test_scan_threshold_at_or_below_gated_out_is_400(
+        self, client, small_benchmark
+    ):
+        rects = small_benchmark.testing.layout.layer(1).rects[:20]
+        with pytest.raises(ServeClientError) as excinfo:
+            client.scan(rects, layer=1, threshold=-1e9)
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
+
     def test_models_endpoint(self, client):
         document = client.models()
         (model,) = document["models"]

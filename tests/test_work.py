@@ -8,6 +8,7 @@ subprocess and SIGKILLs it mid-scan via an injected fault plan.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import os
@@ -18,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,9 @@ import pytest
 from repro.core.config import DetectorConfig
 from repro.core.detector import HotspotDetector
 from repro.core.extraction import candidate_anchors
+from repro.core.feedback import FeedbackKernel
 from repro.core.persist import save_detector
+from repro.core.training import GATED_OUT
 from repro.errors import (
     ConfigError,
     ReproError,
@@ -44,9 +48,11 @@ from repro.work import (
     SupervisedPool,
     decode_shard_record,
     encode_shard_record,
+    evaluate_shard,
     scan_fingerprint,
     shard_cells,
 )
+from repro.work.shard import DEFAULT_SHARD_CLIPS, scan_base_fingerprint
 
 
 # ----------------------------------------------------------------------
@@ -317,6 +323,13 @@ def _cores(report):
     return [(clip.core.x0, clip.core.y0) for clip in report.reports]
 
 
+def _other_feedback(detector):
+    """The detector's feedback kernel with its dual coefficients doubled."""
+    other = copy.deepcopy(detector.feedback_)
+    other.model.dual_coef_ = other.model.dual_coef_ * 2
+    return other
+
+
 class TestShardedScan:
     def test_shards_partition_the_anchor_set(self, fitted, small_benchmark):
         layout = small_benchmark.testing.layout
@@ -406,6 +419,18 @@ class TestShardedScan:
             "another shard side": {
                 "identity": {**identity, "shard_side": 2 * identity["shard_side"]}
             },
+            "another feedback kernel": {
+                "identity": {
+                    **identity,
+                    "base": scan_base_fingerprint(
+                        1,
+                        fitted.config,
+                        fitted.model_,
+                        _other_feedback(fitted),
+                        identity["shard_side"],
+                    ),
+                }
+            },
         }
         for name, stale in stale_headers.items():
             journal_dir = tmp_path / name.replace(" ", "-")
@@ -481,13 +506,190 @@ class TestShardedScan:
         self, fitted, small_benchmark
     ):
         layout = small_benchmark.testing.layout
-        base = scan_fingerprint(layout, 1, fitted.config, fitted.model_, 4800)
+        model, feedback = fitted.model_, fitted.feedback_
+        base = scan_fingerprint(layout, 1, fitted.config, model, feedback, 4800)
         assert base == scan_fingerprint(
-            layout, 1, fitted.config.at_threshold(0.5), fitted.model_, 4800
+            layout, 1, fitted.config.at_threshold(0.5), model, feedback, 4800
         )
         assert base != scan_fingerprint(
-            layout, 1, fitted.config, fitted.model_, 2400
+            layout, 1, fitted.config, model, feedback, 2400
         )
+        assert base != scan_fingerprint(
+            layout, 1, fitted.config, model, _other_feedback(fitted), 4800
+        )
+        assert base != scan_fingerprint(layout, 1, fitted.config, model, None, 4800)
+
+
+# ----------------------------------------------------------------------
+# shard records carry feedback verdicts, never clips
+# ----------------------------------------------------------------------
+class _CountingSink:
+    """Metrics sink that sums ``increment`` calls by name."""
+
+    def __init__(self):
+        self.counts = {}
+
+    def increment(self, name, amount=1.0):
+        self.counts[name] = self.counts.get(name, 0) + amount
+
+
+def _failing_keep_mask(self, clips, threshold=0.0):
+    raise ReproError("injected feedback failure")
+
+
+def _largest_shard(detector, layout):
+    spec = detector.config.spec
+    cells = shard_cells(layout, spec, 1, spec.clip_side * DEFAULT_SHARD_CLIPS)
+    return max((anchors for _, anchors in cells), key=len)
+
+
+class TestShardVerdicts:
+    def test_record_codec_round_trips_verdicts(self, fitted, small_benchmark):
+        layout = small_benchmark.testing.layout
+        record = evaluate_shard(
+            fitted.config, fitted.model_, fitted.feedback_, layout, 1,
+            _largest_shard(fitted, layout),
+        )
+        assert record.anchors and not record.feedback_degraded
+        record.verdicts[::3] = False  # both values on the wire
+        record.feedback_degraded = True
+        decoded = decode_shard_record(encode_shard_record(record), 7)
+        assert decoded.shard_id == 7
+        assert decoded.anchors == record.anchors
+        assert np.array_equal(decoded.margins, record.margins)
+        assert decoded.verdicts.dtype == bool
+        assert np.array_equal(decoded.verdicts, record.verdicts)
+        assert decoded.feedback_degraded
+        assert (
+            decoded.anchor_count,
+            decoded.rejected_density,
+            decoded.rejected_count,
+            decoded.rejected_boundary,
+        ) == (
+            record.anchor_count,
+            record.rejected_density,
+            record.rejected_count,
+            record.rejected_boundary,
+        )
+
+    def test_verdicts_of_another_length_are_rejected(self, fitted, small_benchmark):
+        layout = small_benchmark.testing.layout
+        record = evaluate_shard(
+            fitted.config, fitted.model_, fitted.feedback_, layout, 1,
+            _largest_shard(fitted, layout),
+        )
+        with np.load(io.BytesIO(encode_shard_record(record))) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["verdicts"] = np.append(arrays["verdicts"], True)
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **arrays)
+        with pytest.raises(ValueError, match="verdicts"):
+            decode_shard_record(buffer.getvalue(), 0)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_erroring_feedback_keeps_every_flagged_clip(
+        self, fitted, small_benchmark, serial_report, monkeypatch, tmp_path, workers
+    ):
+        layout = small_benchmark.testing.layout
+        journal_dir = tmp_path / "journal"
+        sink = _CountingSink()
+        quarantine = QuarantineReport()
+        # Patched on the class before the pool forks, so workers fail too.
+        monkeypatch.setattr(FeedbackKernel, "keep_mask", _failing_keep_mask)
+        degraded = replace(fitted, metrics_sink_=sink).detect(
+            layout,
+            quarantine=quarantine,
+            work=ScanOptions(
+                workers=workers, journal_dir=journal_dir, keep_journal=True
+            ),
+        )
+        monkeypatch.undo()
+        assert degraded.feedback_degraded
+        assert sink.counts.get("feedback_degraded_total") == 1
+        assert quarantine.total == 0 and degraded.quarantined == 0
+        # Every flagged clip is reported, as if there were no feedback kernel.
+        assert (
+            degraded.flagged_after_feedback
+            == degraded.flagged_before_feedback
+            == serial_report.flagged_before_feedback
+        )
+        unfiltered = replace(fitted, feedback_=None).detect(layout)
+        assert _cores(degraded) == _cores(unfiltered)
+
+        # Only the shards with gated candidates called the kernel; they
+        # stay out of the journal, so a healthy resume recomputes them.
+        gated = {
+            anchor
+            for anchor, margin in zip(
+                serial_report.extraction.anchors, serial_report.extraction.margins
+            )
+            if margin > GATED_OUT
+        }
+        spec = fitted.config.spec
+        cells = shard_cells(layout, spec, 1, spec.clip_side * DEFAULT_SHARD_CLIPS)
+        judged = sum(1 for _, anchors in cells if gated.intersection(anchors))
+        assert 0 < judged < len(cells)
+        resumed = fitted.detect(
+            layout,
+            work=ScanOptions(workers=workers, journal_dir=journal_dir, resume=True),
+        )
+        assert resumed.shards_resumed == len(cells) - judged
+        assert not resumed.feedback_degraded
+        assert _cores(resumed) == _cores(serial_report)
+        assert (resumed.flagged_before_feedback, resumed.flagged_after_feedback) == (
+            serial_report.flagged_before_feedback,
+            serial_report.flagged_after_feedback,
+        )
+        assert np.array_equal(resumed.extraction.margins, serial_report.extraction.margins)
+        assert np.array_equal(
+            resumed.extraction.verdicts, serial_report.extraction.verdicts
+        )
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_incremental_rescan_cuts_only_reported_clips(
+        self, fitted, small_benchmark, monkeypatch, tmp_path, workers
+    ):
+        import repro.core.detector as detector_module
+
+        layout = small_benchmark.testing.layout
+        cuts = {"all": 0, "removal": 0}
+        cut = layout.cut_clip_at_core
+        remove = detector_module.remove_redundant_clips
+
+        def counting_cut(*args, **kwargs):
+            cuts["all"] += 1
+            return cut(*args, **kwargs)
+
+        def counting_remove(*args, **kwargs):
+            before = cuts["all"]
+            try:
+                return remove(*args, **kwargs)
+            finally:
+                cuts["removal"] += cuts["all"] - before
+
+        monkeypatch.setattr(layout, "cut_clip_at_core", counting_cut)
+        monkeypatch.setattr(detector_module, "remove_redundant_clips", counting_remove)
+        options = ScanOptions(
+            workers=workers, journal_dir=tmp_path / "journal", incremental=True
+        )
+        fitted.detect(layout, work=options)
+        cuts.update(all=0, removal=0)
+        rescan = fitted.detect(layout, work=options)
+        assert rescan.shards_reused == rescan.shards_total
+        assert cuts["all"] - cuts["removal"] == rescan.flagged_after_feedback
+        assert rescan.flagged_after_feedback < rescan.extraction.candidate_count
+
+    def test_threshold_at_or_below_gated_out_is_rejected(
+        self, fitted, small_benchmark, serial_report
+    ):
+        layout = small_benchmark.testing.layout
+        for threshold in (GATED_OUT, 2 * GATED_OUT):
+            with pytest.raises(ValueError, match="GATED_OUT"):
+                fitted.detect(layout, threshold=threshold)
+            with pytest.raises(ValueError, match="GATED_OUT"):
+                fitted.detect(
+                    layout, threshold=threshold, scan=serial_report.extraction
+                )
 
 
 # ----------------------------------------------------------------------
@@ -558,6 +760,20 @@ class TestCliProcessScan:
         assert _core_lines(resumed.stdout)  # the scan actually found hotspots
         # Success cleared the journal.
         assert not (scan_workdir / "journal" / "journal.jsonl").exists()
+
+    def test_threshold_at_or_below_gated_out_exits_2(self, scan_workdir):
+        result = _run_cli(
+            [
+                "scan",
+                "--model", "model.npz",
+                "--layout", "layout.gds",
+                "--no-manifest",
+                "--threshold=-1e9",
+            ],
+            scan_workdir,
+        )
+        assert result.returncode == 2
+        assert "GATED_OUT" in result.stderr
 
     def test_sigterm_drains_with_exit_code_3_then_resumes(self, scan_workdir):
         from repro.cli import main
