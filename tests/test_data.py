@@ -1,5 +1,7 @@
 """Tests for the synthetic benchmark data substrate."""
 
+from hashlib import sha256
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.data.benchmarks import (
     ICCAD_SPEC,
     benchmark_config,
     generate_benchmark,
+    generate_testing_layout,
     generate_training_set,
 )
 from repro.data.patterns import (
@@ -244,3 +247,107 @@ class TestMultilayerData:
         # metal-1 view alone: two wires with a dead-zone gap in both labels
         assert len(hot.layer_clip(METAL1).core_rects()) >= 2
         assert len(hot.rects_on(METAL2)) == 2
+
+
+# ----------------------------------------------------------------------
+# generator digests: every clip, layout rect and planted site, pinned
+# ----------------------------------------------------------------------
+DIGEST_SCALE = 0.3
+
+
+def _rects_text(rects) -> str:
+    return "".join(f"{r.x0},{r.y0},{r.x1},{r.y1};" for r in rects)
+
+
+def _window_text(window: Rect) -> str:
+    return f"{window.x0},{window.y0},{window.x1},{window.y1}"
+
+
+def digest_training_set(name: str) -> str:
+    """sha256 of one benchmark's training clips: windows, labels, rects."""
+    digest = sha256()
+    for clip in generate_training_set(benchmark_config(name), DIGEST_SCALE):
+        digest.update(
+            f"{_window_text(clip.window)}|{clip.label.name}|"
+            f"{_rects_text(clip.rects)}\n".encode()
+        )
+    return digest.hexdigest()
+
+
+def digest_testing_layout(name: str) -> str:
+    """sha256 of one benchmark's testing layout: rects per layer, sites."""
+    planted = generate_testing_layout(benchmark_config(name), DIGEST_SCALE)
+    digest = sha256()
+    digest.update(f"window {_window_text(planted.window)}\n".encode())
+    for number in planted.layout.layer_numbers():
+        rects = planted.layout.layer(number).rects
+        digest.update(f"layer {number}|{_rects_text(rects)}\n".encode())
+    for site in planted.sites:
+        digest.update(
+            f"site {_window_text(site.core)}|{site.motif}|{site.hotspot}|"
+            f"{site.anchor[0]},{site.anchor[1]}\n".encode()
+        )
+    return digest.hexdigest()
+
+
+def digest_multilayer_set() -> str:
+    """sha256 of a two-layer clip population (fabric ambit included)."""
+    from repro.data.multilayer import generate_multilayer_set
+
+    digest = sha256()
+    for clip in generate_multilayer_set(4, 4, seed=77):
+        digest.update(f"{_window_text(clip.window)}|{clip.label.name}".encode())
+        for number, rects in clip.layer_rects:
+            digest.update(f"|{number}:{_rects_text(rects)}".encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+#: (training set, testing layout) digests at ``DIGEST_SCALE``.  A change
+#: to any generated rect, label, window or planted site moves one of
+#: them; a faster generator must leave all of them as they are.
+GENERATOR_DIGESTS = {
+    "benchmark1": (
+        "453f9ce7c50952bdbcfb2760a2118206ee64228e513eba2a5f77f6c9c96e8ff9",
+        "25c5d32703f254dd94cf8467f16ea614e1db9a51c3246e374c38920a6d44cb60",
+    ),
+    "benchmark2": (
+        "a4521a216497d627d624c28c0655b28fbc28c602af3c255952c0d519b61a97ca",
+        "7690d017e0978ec2a09188a258013260e6e5bf34dcfcc1bd93854220cf0b8192",
+    ),
+    "benchmark3": (
+        "87a52ba426a8692bd8f1ac57a1ca816bb0561631c2d61fc6bd1504a1aadf3db0",
+        "f395edd00db261ca31c72eb0d0675d2724571adb81b03907dd0c834bef7f3945",
+    ),
+    "benchmark4": (
+        "7717d4f8f3dfd33f39556923d98ec1980145a0c1f6fc477a471296970a813062",
+        "dbba83c8c2d4c3f9a0b51720321337512c2f9f0153f7640047e4cd285b966de4",
+    ),
+    "benchmark5": (
+        "218cb5f713ab0e62cf1cc9c4cd6c3a0dcd805b6f2d3948ade91052de0992c0a2",
+        "4d3a8c168d37c10d5fc1127ba2a66f393d09622012cfaf4c1c7d2bd109609d1b",
+    ),
+    "blind": (
+        "cb7747c5eb4ad98708ba06910230530596f21070110d1c1d62f2612ea11da970",
+        "c9950edf56cc8b6292635e6b64f7a9d84ce92b7cf2c64cc6200bfa7dee64a177",
+    ),
+}
+MULTILAYER_DIGEST = (
+    "698fcbd9dc60b21769a3b50aa92007b55f3fadff168f85998daa943a137aca26"
+)
+
+
+class TestGeneratorDigests:
+    def test_digests_cover_every_benchmark(self):
+        assert sorted(GENERATOR_DIGESTS) == sorted(cfg.name for cfg in BENCHMARKS)
+
+    @pytest.mark.parametrize("name", [cfg.name for cfg in BENCHMARKS])
+    def test_training_set_is_pinned(self, name):
+        assert digest_training_set(name) == GENERATOR_DIGESTS[name][0]
+
+    @pytest.mark.parametrize("name", [cfg.name for cfg in BENCHMARKS])
+    def test_testing_layout_is_pinned(self, name):
+        assert digest_testing_layout(name) == GENERATOR_DIGESTS[name][1]
+
+    def test_multilayer_set_is_pinned(self):
+        assert digest_multilayer_set() == MULTILAYER_DIGEST
