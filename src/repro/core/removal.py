@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Sequence
 from repro.core.config import RemovalConfig
 from repro.geometry.rect import Rect, bounding_box
 from repro.layout.clip import Clip, ClipSpec
+from repro.layout.spatial import RectIndex
 from repro.obs import trace
 
 #: Builds a clip (window + in-window geometry) for an arbitrary core
@@ -38,8 +39,11 @@ def merge_into_regions(
     """Group report indices into merging regions by core overlap.
 
     Two cores are merged when their intersection is at least
-    ``min_overlap`` of a core's area.  Union-find keeps this near-linear
-    in the number of overlapping pairs.
+    ``min_overlap`` (positive, as :class:`RemovalConfig` requires) of a
+    core's area, so only overlapping cores can merge and the spatial
+    index yields every candidate pair.  Union-find keeps this
+    near-linear in the number of overlapping pairs.  Regions are ordered
+    by their smallest member, with members ascending.
     """
     parent = list(range(len(reports)))
 
@@ -55,12 +59,13 @@ def merge_into_regions(
             parent[rj] = ri
 
     cores = [report.core for report in reports]
-    for i in range(len(cores)):
+    for i, neighbours in enumerate(_neighbours(cores)):
         area_i = cores[i].area
-        for j in range(i + 1, len(cores)):
-            shared = cores[i].intersection_area(cores[j])
-            if shared >= min_overlap * min(area_i, cores[j].area):
-                union(i, j)
+        for j in neighbours:
+            if j > i:
+                shared = cores[i].intersection_area(cores[j])
+                if shared >= min_overlap * min(area_i, cores[j].area):
+                    union(i, j)
 
     groups: dict[int, list[int]] = {}
     for index in range(len(reports)):
@@ -103,6 +108,15 @@ def reframe_region(
     return clips
 
 
+def _neighbours(cores: Sequence[Rect]) -> list[list[int]]:
+    """For each core, the ascending indices of the other cores it shares
+    positive area with."""
+    index = RectIndex(cores)
+    return [
+        [j for j in index.query_ids(core) if j != i] for i, core in enumerate(cores)
+    ]
+
+
 def _corners_covered(core: Rect, others: Sequence[Rect]) -> bool:
     """Whether every corner of ``core`` lies inside some other core."""
     return all(
@@ -111,19 +125,16 @@ def _corners_covered(core: Rect, others: Sequence[Rect]) -> bool:
     )
 
 
-def _polygons_covered(clip: Clip, others: Sequence[Clip]) -> bool:
+def _polygons_covered(clip: Clip, others: Sequence[Rect]) -> bool:
     """Whether all polygons in ``clip``'s core appear in other cores.
 
     Each core geometry piece must be fully contained in the union of the
     other cores' windows; containment per piece in a single other core is
     used (pieces are small relative to cores).
     """
-    pieces = clip.core_rects()
-    if not pieces:
-        return True
-    other_cores = [other.core for other in others]
     return all(
-        any(core.contains_rect(piece) for core in other_cores) for piece in pieces
+        any(core.contains_rect(piece) for core in others)
+        for piece in clip.core_rects()
     )
 
 
@@ -139,26 +150,26 @@ def discard_redundant(reports: list[Clip]) -> list[Clip]:
     mode pinned by ``tests/test_extraction_properties.py``).  Polygon
     coverage is transitive under sequential drops: a piece covered by a
     survivor that is later dropped was, at that drop, re-covered by the
-    then-survivors.
+    then-survivors.  Ties are visited in report order, so of two equal
+    clips the earlier one is dropped: the later one covers it.
     """
-    survivors = list(reports)
-
-    def overlap_degree(clip: Clip) -> int:
-        return sum(1 for other in reports if other.core.overlaps(clip.core)) - 1
-
-    for clip in sorted(reports, key=overlap_degree, reverse=True):
-        if len(survivors) <= 1:
+    cores = [clip.core for clip in reports]
+    neighbours = _neighbours(cores)
+    alive = [True] * len(reports)
+    living = len(reports)
+    degree = [len(ids) for ids in neighbours]
+    for i in sorted(range(len(reports)), key=degree.__getitem__, reverse=True):
+        if living <= 1:
             break
-        if clip not in survivors:
-            continue
-        others = [n for n in survivors if n is not clip and n.core.overlaps(clip.core)]
+        others = [cores[j] for j in neighbours[i] if alive[j]]
         if (
             others
-            and _corners_covered(clip.core, [n.core for n in others])
-            and _polygons_covered(clip, others)
+            and _corners_covered(cores[i], others)
+            and _polygons_covered(reports[i], others)
         ):
-            survivors.remove(clip)
-    return survivors
+            alive[i] = False
+            living -= 1
+    return [clip for clip, keep in zip(reports, alive) if keep]
 
 
 def shift_to_gravity(

@@ -149,7 +149,7 @@ class MultiKernelModel:
                 missing.setdefault(key, []).append(i)
         if missing:
             groups = list(missing.values())
-            self._prefetch_features([clips[indices[0]] for indices in groups])
+            self._prefetch_features(list(missing))
             computed = self._kernel_margins_uncached(
                 [clips[indices[0]] for indices in groups]
             )
@@ -161,19 +161,14 @@ class MultiKernelModel:
             flush()
         return margins
 
-    def _prefetch_features(self, clips: Sequence[Clip]) -> None:
-        """Batch-warm the extractor's feature cache for margin misses."""
+    def _prefetch_features(self, keys: list[str]) -> None:
+        """Batch-warm the extractor's feature cache for margin misses,
+        given their content keys (the feature cache's keys too)."""
         cache = getattr(self.extractor, "cache", None)
         prefetch = getattr(cache, "prefetch", None)
-        if prefetch is None or not clips:
+        if prefetch is None or not keys:
             return
-        from repro.cache.keys import clip_content_key
-
-        prefetch(
-            "features",
-            self.extractor._cache_identity(),
-            [clip_content_key(clip) for clip in clips],
-        )
+        prefetch("features", self.extractor._cache_identity(), keys)
 
     def _kernel_margins_uncached(
         self,

@@ -25,6 +25,7 @@ from repro.geometry.dissect import cut_to_max_size
 from repro.geometry.rect import Rect
 from repro.layout.clip import Clip, ClipLabel, ClipSpec
 from repro.layout.layout import Layout
+from repro.layout.spatial import RectIndex
 from repro.data.patterns import AMBIT_MOTIF, MOTIFS, generate_ambit_motif, generate_motif
 
 #: Fabric track geometry (nm): pitch/width chosen so spacing (128 nm) is
@@ -88,6 +89,7 @@ def fabric_rects(
         raise DataError(f"fill_fraction must be in (0, 1], got {fill_fraction}")
     if bands is None:
         bands = fabric_bands(rng, window, fill_fraction)
+    keep_out_index = RectIndex(keep_out)
     # Phase 1: horizontal track segments with random breaks, laid out in
     # the given bands (empty channels separate them when fill < 1).
     segments: list[Rect] = []
@@ -110,7 +112,7 @@ def fabric_rects(
             end = min(x + length, window.x1)
             segment = Rect.maybe(x, y, end, y + FABRIC_WIDTH)
             if segment is not None and segment.width >= FABRIC_WIDTH:
-                blocked = any(segment.overlaps(k) for k in keep_out)
+                blocked = keep_out_index.any_overlap(segment)
                 if not blocked and rng.random() > break_probability * 0.3:
                     segments.append(segment)
             # Break gap before the next segment; gaps are wide enough that
@@ -126,7 +128,8 @@ def fabric_rects(
     from repro.data.patterns import GAP_REGIMES
 
     min_clear = GAP_REGIMES["hotspot"][1] + 30
-    rects = list(segments)
+    # Each accepted stub joins the index, so later stubs keep clear of it.
+    placed = RectIndex(segments)
     for stub_x, row_y in stub_slots:
         # The stub fills the space strictly between two track rows, so it
         # abuts (never overlaps) any segments above and below.
@@ -135,13 +138,13 @@ def fabric_rects(
         )
         if stub is None or stub.y1 + FABRIC_WIDTH > window.y1:
             continue
-        if any(stub.overlaps(k) for k in keep_out):
+        if keep_out_index.any_overlap(stub):
             continue
         danger = stub.expanded(min_clear)
-        if any(danger.overlaps(r) and not stub.touches(r) for r in rects):
+        if any(not stub.touches(r) for r in placed.query(danger)):
             continue
-        rects.append(stub)
-    return rects
+        placed.insert(stub)
+    return placed.all_rects()
 
 
 def anchor_of(rects: Sequence[Rect], core_side: int) -> tuple[int, int]:
@@ -275,11 +278,11 @@ def harvest_training_clips(
         clips.append(planted.layout.cut_clip_at_core(spec, core, label=label))
     if fabric_clip_count:
         rng = rng or np.random.default_rng(0)
-        site_zone = [site.core.expanded(spec.clip_side) for site in planted.sites]
+        site_zones = RectIndex(
+            site.core.expanded(spec.clip_side) for site in planted.sites
+        )
         layer_rects = planted.layout.layer(1).rects
-        candidates = [
-            r for r in layer_rects if not any(r.overlaps(z) for z in site_zone)
-        ]
+        candidates = [r for r in layer_rects if not site_zones.any_overlap(r)]
         picks = rng.permutation(len(candidates))
         taken = 0
         margin = spec.ambit_margin + spec.core_side
@@ -360,7 +363,7 @@ def build_testing_layout(
     chosen = rng.permutation(len(anchors))[:total]
 
     sites: list[PlantedSite] = []
-    motif_rects: list[Rect] = []
+    motif_rects = RectIndex()
     keep_out: list[Rect] = []
     for rank, anchor_index in enumerate(chosen):
         x, y = anchors[int(anchor_index)]
@@ -384,14 +387,9 @@ def build_testing_layout(
         else:
             rects = generate_motif(motif, rng, hotspot, core)
         for site_core, site_rects in [(core, rects)]:
-            site_rects = [
-                r
-                for r in site_rects
-                if not any(r.overlaps(m) for m in motif_rects)
-            ]
+            site_rects = [r for r in site_rects if not motif_rects.any_overlap(r)]
             if not site_rects:
                 continue
-            motif_rects.extend(site_rects)
             # Clear fabric from the window a detector-extracted core
             # anchored at this motif will cover, so that core holds motif
             # geometry alone — the clean-core convention training uses.
@@ -402,12 +400,13 @@ def build_testing_layout(
             for extra in ambit_extra:
                 zone = zone.union_bbox(extra)
             keep_out.append(zone.expanded(moat))
-            motif_rects.extend(ambit_extra)
+            for rect in site_rects + ambit_extra:
+                motif_rects.insert(rect)
             ambit_extra = []
             sites.append(PlantedSite(site_core, motif, hotspot, (ax, ay)))
 
     fabric = fabric_rects(rng, window, keep_out, bands=bands)
     layout = Layout()
-    for rect in motif_rects + fabric:
+    for rect in motif_rects.all_rects() + fabric:
         layout.add_rect(layer, rect)
     return TestingLayout(layout, window, spec, sites)

@@ -67,6 +67,14 @@ class RectIndex:
                     out.append(rect)
         return out
 
+    def query_ids(self, window: Rect) -> list[int]:
+        """Ids of the rectangles overlapping ``window``, in ascending order."""
+        ids: set[int] = set()
+        for key in self._bucket_keys(window):
+            ids.update(self._buckets.get(key, ()))
+        rects = self._rects
+        return sorted(i for i in ids if rects[i].overlaps(window))
+
     def query_touching(self, window: Rect) -> list[Rect]:
         """All rectangles overlapping or abutting ``window``."""
         seen: set[int] = set()

@@ -405,6 +405,29 @@ def _free_port() -> int:
         return probe.getsockname()[1]
 
 
+def _stopped(pid: int) -> bool:
+    """Whether every thread of ``pid`` has actually stopped.
+
+    ``os.kill(pid, SIGSTOP)`` returns before the signal takes effect; on
+    a loaded machine a thread can still answer a request in between.
+    """
+    tasks = Path(f"/proc/{pid}/task")
+    if tasks.is_dir():
+        states = []
+        for task in tasks.iterdir():
+            try:
+                stat = (task / "stat").read_text()
+            except OSError:
+                continue  # the thread exited meanwhile
+            # "tid (comm) state ...": comm may hold spaces or parentheses.
+            states.append(stat.rsplit(")", 1)[1].split()[0])
+        return bool(states) and all(state == "T" for state in states)
+    ps = subprocess.run(
+        ["ps", "-o", "stat=", "-p", str(pid)], capture_output=True, text=True
+    )
+    return ps.stdout.strip().startswith("T")
+
+
 @pytest.mark.skipif(os.name != "posix", reason="needs SIGSTOP/SIGCONT")
 def test_stopped_then_continued_cache_node_is_readmitted(tmp_path):
     port = _free_port()
@@ -432,6 +455,7 @@ def test_stopped_then_continued_cache_node_is_readmitted(tmp_path):
         assert store.get("margins", "fp", "key") == BLOB
 
         os.kill(proc.pid, signal.SIGSTOP)
+        assert wait_until(lambda: _stopped(proc.pid), timeout_s=10.0, interval_s=0.01)
         for _ in range(NODE_FAILURE_LIMIT):
             assert store.get("margins", "fp", "key") is None
         assert store.node_health()[url]["state"] == "down"

@@ -134,6 +134,34 @@ class TestCacheModesBitIdentical:
         assert_identical(baseline, signature(detached, detached.detect(layout)))
         assert_identical(baseline, signature(detached, detached.detect(layout)))
 
+    def test_cold_scan_hashes_each_candidate_once(
+        self, detached, small_benchmark, monkeypatch
+    ):
+        """A margin miss hands its content key on to the feature-cache
+        prefetch: a cold scan hashes each candidate's geometry once for
+        the margin cache, and once more per feature-cache lookup."""
+        import repro.cache.keys
+
+        counts = {"keys": 0, "feature_lookups": 0}
+        content_key = repro.cache.keys.clip_content_key
+        get_features = HotspotCache.get_features
+
+        def counting_key(clip):
+            counts["keys"] += 1
+            return content_key(clip)
+
+        def counting_get(cache, fingerprint, key):
+            counts["feature_lookups"] += 1
+            return get_features(cache, fingerprint, key)
+
+        monkeypatch.setattr(repro.cache.keys, "clip_content_key", counting_key)
+        monkeypatch.setattr(HotspotCache, "get_features", counting_get)
+        detached.attach_cache(HotspotCache())
+        report = detached.detect(small_benchmark.testing.layout)
+        candidates = report.extraction.candidate_count
+        assert candidates > 0 and counts["feature_lookups"] > 0
+        assert counts["keys"] == candidates + counts["feature_lookups"]
+
 
 class TestIncrementalBitIdentical:
     def test_noop_edit_reuses_everything(self, detached, small_benchmark, tmp_path):
