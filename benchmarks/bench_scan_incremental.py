@@ -56,7 +56,6 @@ def run_incremental_matrix(detector, layout):
             workers=WORKERS,
             journal_dir=workdir / "journal",
             incremental=True,
-            cache_dir=cache_dir,
         )
         detector.attach_cache(HotspotCache(directory=cache_dir))
 
@@ -81,7 +80,7 @@ def run_incremental_matrix(detector, layout):
         warm = timed(
             "warm",
             layout,
-            ScanOptions(workers=WORKERS, cache_dir=cache_dir),
+            ScanOptions(workers=WORKERS),
         )
         assert _report_key(warm) == reference, "warm cache changed reports"
 

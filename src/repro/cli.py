@@ -855,6 +855,40 @@ def _config_for(variant: str) -> DetectorConfig:
     }[variant]()
 
 
+def _write_reports(args, session, result, quarantine) -> None:
+    """What ``scan`` and ``fleet-scan`` both emit for a finished scan:
+    the ``--quarantine`` report, one ``  core`` line per hotspot on
+    stdout and the ``--report`` GDS marker overlay."""
+    if args.quarantine is not None:
+        quarantine.write(args.quarantine)
+        session.artifact("quarantine", args.quarantine)
+        print(f"quarantine report -> {args.quarantine}", file=sys.stderr)
+    for clip in result.reports:
+        print(f"  core ({clip.core.x0}, {clip.core.y0}) - ({clip.core.x1}, {clip.core.y1})")
+    if args.report is not None:
+        library = GdsLibrary(name="HOTSPOTS")
+        top = library.new_structure("HOTSPOT_MARKERS")
+        for clip in result.reports:
+            top.add(GdsBoundary(63, 0, list(clip.core.corners())))
+        write_library_file(library, args.report)
+        session.artifact("report", args.report)
+        print(f"marker overlay -> {args.report}")
+
+
+def _write_fleet_trace(path: Path, tracer, role: str, coordinator) -> bool:
+    """One coordinator-rooted Chrome trace: this process's spans plus
+    every span document the workers shipped.  True once written."""
+    documents = [obs.span_document(tracer, role, coordinator.request_id)]
+    documents.extend(coordinator.trace_documents())
+    try:
+        path.write_text(json.dumps(obs.merge_chrome_traces(documents)))
+    except OSError as exc:
+        print(f"warning: could not write trace: {exc}", file=sys.stderr)
+        return False
+    print(f"fleet trace -> {path}", file=sys.stderr)
+    return True
+
+
 def cmd_generate(args) -> int:
     bench = generate_benchmark(args.benchmark, args.scale)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -964,7 +998,6 @@ def cmd_scan(args) -> int:
             resume=args.resume,
             stop_event=stop_event,
             incremental=args.incremental,
-            cache_dir=args.cache_dir,
         )
 
         def _drain(signum, frame):
@@ -1035,20 +1068,7 @@ def cmd_scan(args) -> int:
             f"{result.poison_tasks} poison tasks",
             file=sys.stderr,
         )
-        if args.quarantine is not None:
-            quarantine.write(args.quarantine)
-            session.artifact("quarantine", args.quarantine)
-            print(f"quarantine report -> {args.quarantine}", file=sys.stderr)
-        for clip in result.reports:
-            print(f"  core ({clip.core.x0}, {clip.core.y0}) - ({clip.core.x1}, {clip.core.y1})")
-        if args.report is not None:
-            library = GdsLibrary(name="HOTSPOTS")
-            top = library.new_structure("HOTSPOT_MARKERS")
-            for clip in result.reports:
-                top.add(GdsBoundary(63, 0, list(clip.core.corners())))
-            write_library_file(library, args.report)
-            session.artifact("report", args.report)
-            print(f"marker overlay -> {args.report}")
+        _write_reports(args, session, result, quarantine)
         default = (
             args.report.with_suffix(".manifest.json")
             if args.report is not None
@@ -1343,7 +1363,7 @@ def cmd_fleet_scan(args) -> int:
         print(
             f"coordinator on {coordinator.url}: "
             f"{len(coordinator.shards)} shards "
-            f"({len(coordinator._resumed)} resumed), "
+            f"({len(coordinator.plan.reused)} resumed), "
             f"epoch {coordinator.epoch}",
             file=sys.stderr,
         )
@@ -1493,21 +1513,10 @@ def cmd_fleet_scan(args) -> int:
                 if proc.poll() is None:
                     proc.terminate()
         if args.trace is not None and session.tracer is not None:
-            # One coordinator-rooted timeline: this process's spans plus
-            # every span document the workers shipped with their pushes.
-            documents = [
-                obs.span_document(
-                    session.tracer, "coordinator", options.request_id
-                )
-            ]
-            documents.extend(coordinator.trace_documents())
-            merged = obs.merge_chrome_traces(documents)
-            try:
-                args.trace.write_text(json.dumps(merged))
-                print(f"fleet trace -> {args.trace}", file=sys.stderr)
+            if _write_fleet_trace(
+                args.trace, session.tracer, "coordinator", coordinator
+            ):
                 session.artifact("trace", args.trace)
-            except OSError as exc:
-                print(f"warning: could not write trace: {exc}", file=sys.stderr)
             # finish() must not overwrite the merged trace with the
             # coordinator-only view.
             session.trace_path = None
@@ -1559,23 +1568,7 @@ def cmd_fleet_scan(args) -> int:
             f"{restarts} worker restarts",
             file=sys.stderr,
         )
-        if args.quarantine is not None:
-            quarantine.write(args.quarantine)
-            session.artifact("quarantine", args.quarantine)
-            print(f"quarantine report -> {args.quarantine}", file=sys.stderr)
-        for clip in result.reports:
-            print(
-                f"  core ({clip.core.x0}, {clip.core.y0}) - "
-                f"({clip.core.x1}, {clip.core.y1})"
-            )
-        if args.report is not None:
-            library = GdsLibrary(name="HOTSPOTS")
-            top = library.new_structure("HOTSPOT_MARKERS")
-            for clip in result.reports:
-                top.add(GdsBoundary(63, 0, list(clip.core.corners())))
-            write_library_file(library, args.report)
-            session.artifact("report", args.report)
-            print(f"marker overlay -> {args.report}")
+        _write_reports(args, session, result, quarantine)
         session.finish(
             default_manifest=args.model.with_suffix(".fleet.manifest.json")
         )
@@ -1801,19 +1794,12 @@ def cmd_fleet_coordinator(args) -> int:
         # past completion keeps hand-offs and drills clean.
         time.sleep(args.linger)
     if args.trace is not None:
-        documents = [
-            obs.span_document(
-                obs.get_tracer(),
-                "coordinator" if role == "primary" else "standby",
-                inner.request_id,
-            )
-        ]
-        documents.extend(inner.trace_documents())
-        try:
-            args.trace.write_text(json.dumps(obs.merge_chrome_traces(documents)))
-            print(f"fleet trace -> {args.trace}", file=sys.stderr)
-        except OSError as exc:
-            print(f"warning: could not write trace: {exc}", file=sys.stderr)
+        _write_fleet_trace(
+            args.trace,
+            obs.get_tracer(),
+            "coordinator" if role == "primary" else "standby",
+            inner,
+        )
     status = inner.status()
     node.stop()
     obs.set_tracer(None)

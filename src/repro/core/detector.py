@@ -286,7 +286,7 @@ class HotspotDetector:
 
         Every scan runs through :func:`repro.work.shard.run_sharded_scan`.
         ``work`` is an optional :class:`repro.work.ScanOptions`; the
-        default, ``ScanOptions(workers=0)``, evaluates the shards in this
+        default, ``ScanOptions()``, evaluates the shards in this
         process.  ``workers >= 1`` runs them on a crash-isolated
         :class:`repro.work.SupervisedPool` — same hotspot set, but a
         worker crash, hang or poison clip no longer kills the run.  A
@@ -323,7 +323,7 @@ class HotspotDetector:
             if scan is None:
                 from repro.work.shard import ScanOptions, run_sharded_scan
 
-                options = work if work is not None else ScanOptions(workers=0)
+                options = work or ScanOptions()
                 backend = "process" if options.workers else "serial"
                 scan = run_sharded_scan(
                     self, layout, layer=layer, quarantine=quarantine, options=options

@@ -1,19 +1,17 @@
 """The scan coordinator: leases shards to workers, merges their pushes.
 
-The coordinator partitions a layout scan exactly as a local scan does
-(:func:`repro.work.shard.shard_cells` over the same grid), opens and
-writes its journal through the same helpers
-(:func:`~repro.work.shard.open_shard_journal`,
-:func:`~repro.work.shard.journal_shard`), and merges results with the
-same :func:`~repro.work.shard._merge_shards` — which is what makes a
-fleet scan bit-identical to a local one and lets ``--resume`` reuse
-what a crashed coordinator (or a local scan) journaled.
+The coordinator plans a layout scan with the local scan's own
+:class:`~repro.work.shard.ShardPlan`: the same grid of shards, the same
+journal keys and identity, the same merge.  That is what makes a fleet
+scan bit-identical to a local one and lets ``--resume`` reuse what a
+crashed coordinator (or a local scan) journaled — and a local scan
+resume what a coordinator journaled.
 
 Lease protocol (all JSON over HTTP, see ``docs/FLEET.md``):
 
 - ``POST /fleet/v1/lease`` — a worker (identified by name + scan
-  fingerprint) asks for work.  Response: a shard (anchors, cell,
-  geometry hash, lease id + TTL), ``{"status": "wait"}`` when all
+  fingerprint) asks for work.  Response: a shard (id, anchors, lease
+  id + TTL), ``{"status": "wait"}`` when all
   remaining shards are leased out, or ``{"status": "done"}``.
 - ``POST /fleet/v1/heartbeat`` — extends a lease; a worker whose lease
   already expired learns it via ``{"status": "lost"}`` and abandons the
@@ -50,7 +48,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.cache import open_blob, wrap_blob
-from repro.errors import FleetError, FleetProtocolError, ScanDrainedError
+from repro.errors import FleetError, FleetProtocolError
 from repro.fleet.membership import MemberTable
 from repro.fleet.protocol import (
     BLOB_TYPE,
@@ -63,22 +61,14 @@ from repro.fleet.protocol import (
 from repro.obs import MetricsAggregator, get_logger, new_request_id, trace
 from repro.serve.metrics import MetricsRegistry
 from repro.resilience import faults
-from repro.resilience.checkpoint import Journal
 from repro.resilience.quarantine import QuarantineReport
-from repro.work.pool import PoolStats
 from repro.work.shard import (
-    DEFAULT_SHARD_CLIPS,
     ScanResult,
-    _merge_shards,
+    ShardPlan,
     _ShardRecord,
     decode_shard_record,
     encode_shard_record,
-    journal_shard,
-    open_shard_journal,
-    scan_base_fingerprint,
     scan_fingerprint,
-    shard_cells,
-    shard_geometry_hash,
 )
 
 _log = get_logger("fleet.coordinator")
@@ -131,7 +121,8 @@ class _Lease:
 
 
 class FleetCoordinator:
-    """Owns the shard queue, the journal and the merge of one fleet scan."""
+    """Owns the shard queue of one fleet scan; its :class:`ShardPlan`
+    (``plan``) owns the shards, the journal and the merge."""
 
     def __init__(
         self,
@@ -140,51 +131,27 @@ class FleetCoordinator:
         layer: int = 1,
         options: Optional[FleetOptions] = None,
     ) -> None:
-        from repro.errors import NotFittedError
-
-        self.detector = detector
-        self.layout = layout
         self.layer = layer
         self.options = options or FleetOptions()
-        model = detector.model_
-        if model is None:
-            raise NotFittedError("fleet scan used before fit()")
-        config = detector.config
-        self.shard_side = (
-            self.options.shard_side
-            or config.spec.clip_side * DEFAULT_SHARD_CLIPS
+        self.plan = ShardPlan(
+            detector,
+            layout,
+            layer,
+            self.options.shard_side,
+            self.options.journal_dir,
+            reuse=self.options.resume,
         )
+        self.shard_side = self.plan.shard_side
+        self.cells = self.plan.cells
+        self.shards = self.plan.shards
         self.fingerprint = scan_fingerprint(
-            layout, layer, config, model, detector.feedback_, self.shard_side
+            layout,
+            layer,
+            detector.config,
+            detector.model_,
+            detector.feedback_,
+            self.shard_side,
         )
-        self.cells = shard_cells(layout, config.spec, layer, self.shard_side)
-        self.shards = [anchors for _, anchors in self.cells]
-        self._geometry = [
-            shard_geometry_hash(
-                layout, layer, cell, self.shard_side, config.spec.clip_side
-            )
-            for cell, _ in self.cells
-        ]
-
-        self.journal: Optional[Journal] = None
-        self._resumed: dict[int, _ShardRecord] = {}
-        if self.options.journal_dir is not None:
-            self.journal, self._resumed = open_shard_journal(
-                self.options.journal_dir,
-                scan_base_fingerprint(
-                    layer, config, model, detector.feedback_, self.shard_side
-                ),
-                self.shard_side,
-                self.cells,
-                self._geometry,
-                reuse=self.options.resume,
-            )
-            if self._resumed:
-                _log.info(
-                    "fleet_scan_resumed",
-                    shards=len(self._resumed),
-                    of=len(self.shards),
-                )
 
         # Leader epoch: monotone across restarts of the same journal dir
         # (the sidecar survives a crash, so a resumed coordinator never
@@ -199,7 +166,7 @@ class FleetCoordinator:
         self.stale_epoch_fenced = 0
 
         self._lock = threading.Lock()
-        self._completed: dict[int, _ShardRecord] = dict(self._resumed)
+        self._completed: dict[int, _ShardRecord] = dict(self.plan.reused)
         self._pending: deque[int] = deque(
             shard_id
             for shard_id in range(len(self.shards))
@@ -257,13 +224,13 @@ class FleetCoordinator:
         self._started = time.monotonic()
         self._shard_wall: dict[int, float] = {
             shard_id: record.wall_s
-            for shard_id, record in self._resumed.items()
+            for shard_id, record in self.plan.reused.items()
             if record.wall_s > 0
         }
         self._worker_reports: dict[str, dict] = {}
         self._worker_pushes: dict[str, int] = {}
         self._trace_docs: list[dict] = []
-        for record in self._resumed.values():
+        for record in self.plan.reused.values():
             if record.wall_s > 0:
                 self._m_shard_seconds.labels().observe(record.wall_s)
 
@@ -291,7 +258,7 @@ class FleetCoordinator:
             "coordinator_started",
             url=self._server.url,
             shards=len(self.shards),
-            resumed=len(self._resumed),
+            resumed=len(self.plan.reused),
             epoch=self.epoch,
             fingerprint=self.fingerprint[:16],
         )
@@ -429,7 +396,7 @@ class FleetCoordinator:
             self._leases[shard_id] = lease
             self.leases_granted += 1
         self._m_leases.labels("granted").inc()
-        cell, anchors = self.cells[shard_id]
+        anchors = self.shards[shard_id]
         _log.info(
             "lease_granted",
             shard=shard_id,
@@ -442,8 +409,6 @@ class FleetCoordinator:
             "shard": shard_id,
             "lease": lease.lease_id,
             "ttl_s": self.options.lease_ttl_s,
-            "cell": list(cell),
-            "geometry_sha": self._geometry[shard_id],
             "anchors": [[int(x), int(y)] for x, y in anchors],
         }
 
@@ -473,8 +438,6 @@ class FleetCoordinator:
             raise FleetProtocolError(
                 f"undecodable push for shard {shard_id}: {exc}"
             ) from exc
-        record.cell = self.cells[shard_id][0]
-        record.geometry_sha = self._geometry[shard_id]
         with self._lock:
             if shard_id in self._completed:
                 # First push won already (the lease expired and another
@@ -489,8 +452,7 @@ class FleetCoordinator:
             faults.inject("fleet.push", shard=shard_id)
             self._completed[shard_id] = record
             lease = self._leases.pop(shard_id, None)
-            if self.journal is not None:
-                journal_shard(self.journal, record)
+            self.plan.commit(shard_id, record)
             self.pushes_accepted += 1
             if record.wall_s > 0:
                 self._shard_wall[shard_id] = record.wall_s
@@ -526,8 +488,6 @@ class FleetCoordinator:
         shard_id = record.shard_id
         if not 0 <= shard_id < len(self.shards):
             raise FleetProtocolError(f"replicated unknown shard {shard_id}")
-        record.cell = self.cells[shard_id][0]
-        record.geometry_sha = self._geometry[shard_id]
         with self._lock:
             if shard_id in self._completed:
                 return False
@@ -536,8 +496,7 @@ class FleetCoordinator:
                 self._pending.remove(shard_id)
             except ValueError:
                 pass
-            if self.journal is not None:
-                journal_shard(self.journal, record)
+            self.plan.commit(shard_id, record)
             if record.wall_s > 0:
                 self._shard_wall[shard_id] = record.wall_s
             done = len(self._completed) == len(self.shards)
@@ -807,7 +766,7 @@ class FleetCoordinator:
                 }
             )
         elapsed = max(1e-9, now - self._started)
-        fresh = completed - len(self._resumed)
+        fresh = completed - len(self.plan.reused)
         throughput = fresh / elapsed
         eta_s = None
         if pending + leased and walls:
@@ -823,7 +782,7 @@ class FleetCoordinator:
             "completed": completed,
             "leased": leased,
             "pending": pending,
-            "resumed": len(self._resumed),
+            "resumed": len(self.plan.reused),
             "stale_epoch_fenced": self.stale_epoch_fenced,
             "leases_granted": self.leases_granted,
             "leases_expired": self.leases_expired,
@@ -882,35 +841,22 @@ class FleetCoordinator:
     ) -> ScanResult:
         """Merge completed shards into the global candidate order.
 
-        Exactly :func:`~repro.work.shard._merge_shards` — the same code
-        path every local scan uses, so a fleet scan's
-        hotspot set, margins, verdicts and funnel counts are
-        bit-identical to a local scan of the same layout.  Raises
+        Exactly :meth:`~repro.work.shard.ShardPlan.finish` — the same
+        merge every local scan runs, so a fleet scan's hotspot set,
+        margins, verdicts and funnel counts are bit-identical to a local
+        scan of the same layout.  Raises
         :class:`~repro.errors.ScanDrainedError` while shards are still
         outstanding (the journal keeps what finished).
         """
         with self._lock:
             completed = dict(self._completed)
-        if len(completed) < len(self.shards):
-            raise ScanDrainedError(
-                f"fleet scan incomplete: {len(completed)}/{len(self.shards)} "
-                "shards pushed; rerun with --resume to finish"
-            )
         with trace(
-            "fleet.merge", shards=len(self.shards), resumed=len(self._resumed)
+            "fleet.merge", shards=len(self.shards), resumed=len(self.plan.reused)
         ):
-            result = _merge_shards(
-                self.detector,
-                self.layout,
-                self.layer,
-                self.shards,
-                completed,
-                quarantine,
-                PoolStats(),
+            result = self.plan.finish(
+                completed, quarantine, keep_journal=self.options.keep_journal
             )
-            result.shards_resumed = len(self._resumed)
-        if self.journal is not None and not self.options.keep_journal:
-            self.journal.clear()
+        if self.plan.journal is not None and not self.options.keep_journal:
             _clear_epoch(Path(self.options.journal_dir))
         return result
 

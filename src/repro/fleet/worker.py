@@ -512,9 +512,6 @@ class FleetWorker:
                     self.detector.feedback_, self.layout, layer, anchors,
                 )
             record.shard_id = shard_id
-            cell = lease_doc.get("cell")
-            record.cell = (int(cell[0]), int(cell[1])) if cell else None
-            record.geometry_sha = str(lease_doc.get("geometry_sha", ""))
             blob = wrap_blob(encode_shard_record(record))
         finally:
             beat_stop.set()

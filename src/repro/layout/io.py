@@ -64,17 +64,10 @@ def layout_to_library(layout: Layout, name: str = "LAYOUT", top: str = "TOP") ->
     return library
 
 
-def library_to_layout(
-    library: GdsLibrary,
-    dissect_max_side: Optional[int] = None,
-    structure_name: Optional[str] = None,
-) -> Layout:
-    """Flatten a GDSII library (or one named structure) into a layout."""
-    structure = (
-        library.get(structure_name) if structure_name else library.single_top()
-    )
-    layout = Layout(dissect_max_side=dissect_max_side)
-    for layer, _datatype, polygon in flatten_structure(library, structure):
+def library_to_layout(library: GdsLibrary) -> Layout:
+    """Flatten a GDSII library's single top structure into a layout."""
+    layout = Layout()
+    for layer, _datatype, polygon in flatten_structure(library, library.single_top()):
         layout.add_polygon(layer, polygon)
     return layout
 
@@ -84,11 +77,9 @@ def save_layout_gds(layout: Layout, path: Union[str, FsPath]) -> None:
     write_library_file(layout_to_library(layout), path)
 
 
-def load_layout_gds(
-    path: Union[str, FsPath], dissect_max_side: Optional[int] = None
-) -> Layout:
+def load_layout_gds(path: Union[str, FsPath]) -> Layout:
     """Read a layout back from a GDSII file."""
-    return library_to_layout(_parse_library(_read_bytes(path), path), dissect_max_side)
+    return library_to_layout(_parse_library(_read_bytes(path), path))
 
 
 def save_layout_auto(layout: Layout, path: Union[str, FsPath]) -> None:

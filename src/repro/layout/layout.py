@@ -27,9 +27,9 @@ class Layer:
     polygons: list[Polygon] = field(default_factory=list)
     rects: list[Rect] = field(default_factory=list)
 
-    def add_polygon(self, polygon: Polygon, max_side: Optional[int] = None) -> None:
+    def add_polygon(self, polygon: Polygon) -> None:
         self.polygons.append(polygon)
-        self.rects.extend(dissect_polygon(polygon, max_side))
+        self.rects.extend(dissect_polygon(polygon))
 
     def add_rect(self, rect: Rect) -> None:
         """Add a rectangle directly (it is its own dissection)."""
@@ -40,22 +40,14 @@ class Layer:
 class Layout:
     """A flat multi-layer layout with spatial indexing.
 
-    Parameters
-    ----------
-    dissect_max_side:
-        When set, polygons are dissected with this maximum rectangle side
-        (the paper uses the hotspot core side length, Section III-E).
+    Polygons are dissected into maximal rectangles as they are added;
+    the paper's core-side cut (Section III-E) happens at anchor time, in
+    :func:`repro.core.extraction.candidate_anchors`.
     """
 
-    def __init__(
-        self,
-        dissect_max_side: Optional[int] = None,
-        index_bucket_size: int = 2400,
-    ):
+    def __init__(self):
         self._layers: dict[int, Layer] = {}
         self._indexes: dict[int, RectIndex] = {}
-        self._dissect_max_side = dissect_max_side
-        self._index_bucket_size = index_bucket_size
 
     # ------------------------------------------------------------------
     # construction
@@ -70,7 +62,7 @@ class Layout:
         return sorted(self._layers)
 
     def add_polygon(self, layer: int, polygon: Polygon) -> None:
-        self.layer(layer).add_polygon(polygon, self._dissect_max_side)
+        self.layer(layer).add_polygon(polygon)
         self._indexes.pop(layer, None)
 
     def add_rect(self, layer: int, rect: Rect) -> None:
@@ -89,9 +81,7 @@ class Layout:
         if layer not in self._layers:
             raise LayoutError(f"layout has no layer {layer}")
         if layer not in self._indexes:
-            self._indexes[layer] = RectIndex(
-                self._layers[layer].rects, self._index_bucket_size
-            )
+            self._indexes[layer] = RectIndex(self._layers[layer].rects)
         return self._indexes[layer]
 
     def rects_in_window(self, layer: int, window: Rect) -> list[Rect]:

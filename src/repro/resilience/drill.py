@@ -39,7 +39,9 @@ when the drill carries a cache tier — ``cache-0`` .. ``cache-K``
 (:class:`ServeFleetDrill` adds ``frontend`` and ``replica-N``).  Action
 timestamps are wall-clock best effort — the bit-identity assertion at
 the end is what makes the drill deterministic, not the exact
-millisecond a SIGKILL lands.
+millisecond a SIGKILL lands.  That assertion merges the leader's
+journal with a local scan's :class:`~repro.work.shard.ShardPlan` and
+leaves the journal in the workdir.
 
 :class:`ChaosDrill` optionally runs a **long-running session**:
 ``scans=N`` re-runs the same fleet scan N times against the surviving
@@ -606,22 +608,21 @@ class ChaosDrill:
     ) -> None:
         import numpy as np
 
-        from repro.fleet import FleetCoordinator, FleetOptions
+        from repro.work.shard import ShardPlan
 
-        journal_dir = self._journal_dir(leader, scan_index)
-        merger = FleetCoordinator(
+        # The leader's journal holds every shard it accepted; the local
+        # scan's own plan reads and merges it, and leaves it in place.
+        plan = ShardPlan(
             detector,
             layout,
-            layer=self.layer,
-            options=FleetOptions(
-                journal_dir=journal_dir,
-                resume=True,
-                shard_side=self.shard_side,
-            ),
+            self.layer,
+            self.shard_side,
+            self._journal_dir(leader, scan_index),
+            reuse=True,
         )
-        report.shards = len(merger.shards)
-        report.completed = len(merger._completed)
-        scan = merger.result()
+        report.shards = len(plan.shards)
+        report.completed = len(plan.reused)
+        scan = plan.finish(plan.reused, keep_journal=True)
         drill_result = detector.detect(layout, layer=self.layer, scan=scan)
         report.drill_reports = drill_result.report_count
 

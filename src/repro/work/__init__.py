@@ -7,22 +7,26 @@ Two layers:
   crash retry, poison-task bisection, worker recycling and graceful
   drain;
 - :mod:`repro.work.shard` — the scan driver behind every
-  ``HotspotDetector.detect``: it buckets a layout's candidate anchors
-  into shards, evaluates each with :func:`~repro.work.shard.evaluate_shard`
-  in the calling process or on the pool, and journals completed shards
-  in a :class:`~repro.resilience.checkpoint.Journal` keyed by each
-  shard's cell and geometry hash, for ``repro scan --resume`` /
-  ``--incremental``.
+  ``HotspotDetector.detect``.  Its :class:`~repro.work.shard.ShardPlan`
+  buckets a layout's candidate anchors into shards, journals completed
+  shards in a :class:`~repro.resilience.checkpoint.Journal` keyed by
+  each shard's cell and geometry hash (for ``repro scan --resume`` /
+  ``--incremental``) and merges them; the fleet coordinator uses the
+  same plan.  Each shard is evaluated with
+  :func:`~repro.work.shard.evaluate_shard` in the calling process or on
+  the pool.
 
-``detect`` evaluates the shards in-process by default; pass
-``work=ScanOptions(workers=N)`` (``repro scan --workers N`` on the CLI)
-to run them on N supervised worker processes.
+``detect`` evaluates the shards in-process by default, as
+``ScanOptions()`` does; pass ``work=ScanOptions(workers=N)`` (``repro
+scan --workers N`` on the CLI) to run them on N supervised worker
+processes.
 """
 
 from repro.work.pool import PoolConfig, PoolStats, PoolTask, SupervisedPool
 from repro.work.shard import (
     ScanOptions,
     ScanResult,
+    ShardPlan,
     decode_shard_record,
     encode_shard_record,
     evaluate_shard,
@@ -38,6 +42,7 @@ __all__ = [
     "SupervisedPool",
     "ScanOptions",
     "ScanResult",
+    "ShardPlan",
     "decode_shard_record",
     "encode_shard_record",
     "evaluate_shard",

@@ -1,12 +1,13 @@
 """The layout scan driver: journaled, resumable, sharded.
 
-Every local scan runs here.  The driver splits a layout's candidate
-anchors into region shards (a grid of ``shard_side`` cells over the
-layer bounding box) and evaluates each shard with
-:func:`evaluate_shard` — in the calling process, in shard order
-(``ScanOptions(workers=0)``, what ``HotspotDetector.detect`` does by
-default), or as one task per shard on a
-:class:`~repro.work.pool.SupervisedPool` (``workers >= 1``).  With a
+Every local scan runs here.  Its :class:`ShardPlan` splits a layout's
+candidate anchors into region shards (a grid of ``shard_side`` cells
+over the layer bounding box), journals them and merges them; the fleet
+coordinator and the chaos drill's journal merge use the same plan.
+Each shard is evaluated with :func:`evaluate_shard` — in the calling
+process, in shard order (``ScanOptions(workers=0)``, what
+``HotspotDetector.detect`` does by default), or as one task per shard on
+a :class:`~repro.work.pool.SupervisedPool` (``workers >= 1``).  With a
 journal directory, every completed shard is appended to an on-disk
 **journal**, so an interrupted run — crash, OOM kill, SIGTERM drain —
 resumes from the completed shards instead of restarting a multi-hour
@@ -36,7 +37,8 @@ version, :func:`scan_base_fingerprint` (detector config minus the
 decision threshold, trained kernels, feedback kernel, layer, shard
 grid) and the shard side; a journal of another identity is discarded
 with a warning, never mixed in.  A resumed scan reuses every journaled
-shard whose key is in its own shard plan, so ``--resume`` after an
+shard whose key is in its own shard plan, whether a local scan or a
+fleet coordinator journaled it, so ``--resume`` after an
 edit — like ``--incremental``, which differs only in keeping the
 journal after success — re-evaluates just the shards whose influence
 region changed.
@@ -94,12 +96,17 @@ _log = get_logger("work.shard")
 # ----------------------------------------------------------------------
 @dataclass
 class ScanOptions:
-    """Execution knobs of one sharded scan."""
+    """Execution knobs of one sharded scan.
+
+    ``ScanOptions()`` scans the way ``HotspotDetector.detect`` does by
+    default: in-process, unjournaled.
+    """
 
     #: Supervised worker processes; ``0`` evaluates the shards in the
     #: calling process, in shard order, with the detector's own model
-    #: and cache.
-    workers: int = 2
+    #: and cache.  Pool workers open the attached cache's ``directory``
+    #: (its disk tier) read/write, and no cache without one.
+    workers: int = 0
     #: Shard cell edge in DBU (default ``DEFAULT_SHARD_CLIPS * clip_side``).
     shard_side: Optional[int] = None
     #: Journal directory; ``None`` scans without resumability.
@@ -112,18 +119,10 @@ class ScanOptions:
     #: Set (e.g. from a SIGTERM handler) to drain: in-flight shards
     #: finish and journal, then the scan raises ``ScanDrainedError``.
     stop_event: Optional[threading.Event] = None
-    #: Keep the journal after a successful scan (default: cleared, like
-    #: training checkpoints).
-    keep_journal: bool = False
-    #: ``resume``, and keep the journal after success: the next
-    #: incremental run then re-evaluates only the edited regions.
-    #: Requires ``journal_dir``; implies ``keep_journal``.
+    #: ``resume``, and keep the journal after success (any other scan
+    #: clears it): the next incremental run then re-evaluates only the
+    #: edited regions.  Requires ``journal_dir``.
     incremental: bool = False
-    #: Directory of an on-disk :class:`repro.cache.HotspotCache` tier.
-    #: Pool workers open it read/write, so a warm cache accelerates even
-    #: freshly-scanned shards; defaults to the detector cache's directory.
-    #: An in-process scan uses the detector's attached cache instead.
-    cache_dir: Optional[Union[str, Path]] = None
 
 
 @dataclass
@@ -203,13 +202,6 @@ class _ShardRecord:
     quarantine: dict = field(default_factory=dict)
     #: The feedback kernel errored on this shard; its verdicts are void.
     feedback_degraded: bool = False
-    #: Absolute DBU origin of the shard's grid cell (stable across runs
-    #: as long as the layer bounding box is stable; shard *ids* are not).
-    cell: Optional[tuple[int, int]] = None
-    #: sha256 of the source rects overlapping the cell expanded by the
-    #: clip side — everything that can influence this shard's anchors,
-    #: clip contents and funnel counts.
-    geometry_sha: str = ""
     #: Wall seconds spent evaluating the shard (journaled, so the fleet
     #: status plane's ETA/straggler percentiles survive ``--resume``).
     wall_s: float = 0.0
@@ -292,7 +284,7 @@ def encode_shard_record(record: _ShardRecord) -> bytes:
 
     ``anchors`` (N,2) int64 + ``margins`` (N,) float64 + ``verdicts``
     (N,) bool + a JSON ``meta`` blob (funnel counts, quarantine dump,
-    feedback degradation, cell origin, geometry hash).  float64
+    feedback degradation, wall seconds).  float64
     round-trips exactly through npz, which is what makes both journal
     resume and fleet push/merge bit-identical.
     """
@@ -307,8 +299,6 @@ def encode_shard_record(record: _ShardRecord) -> bytes:
         "rejected_boundary": record.rejected_boundary,
         "quarantine": record.quarantine,
         "feedback_degraded": record.feedback_degraded,
-        "cell": list(record.cell) if record.cell is not None else None,
-        "geometry_sha": record.geometry_sha,
         "wall_s": round(record.wall_s, 6),
     }
     buffer = BytesIO()
@@ -337,7 +327,6 @@ def decode_shard_record(raw: bytes, shard_id: int) -> _ShardRecord:
         raise ValueError("anchors/margins length mismatch")
     if len(anchors) != len(verdicts):
         raise ValueError("anchors/verdicts length mismatch")
-    cell = meta.get("cell")
     return _ShardRecord(
         shard_id=shard_id,
         anchors=[(int(x), int(y)) for x, y in anchors],
@@ -349,8 +338,6 @@ def decode_shard_record(raw: bytes, shard_id: int) -> _ShardRecord:
         rejected_boundary=int(meta.get("rejected_boundary", 0)),
         quarantine=dict(meta.get("quarantine", {})),
         feedback_degraded=bool(meta.get("feedback_degraded", False)),
-        cell=(int(cell[0]), int(cell[1])) if cell else None,
-        geometry_sha=str(meta.get("geometry_sha", "")),
         wall_s=float(meta.get("wall_s", 0.0)),
     )
 
@@ -364,12 +351,11 @@ def evaluate_shard(
     The in-process scan, the pool task (:func:`_scan_shard_task`) and the
     fleet worker all call it.  Candidates come back in the order of
     ``anchors`` with their margins, feedback verdicts, funnel counts and
-    quarantine dump; the caller stamps ``shard_id``/``cell``/
-    ``geometry_sha``.  ``feedback`` (the detector's feedback kernel, or
-    ``None``) judges every gated candidate — every margin above
-    ``GATED_OUT``, whatever the threshold — so the verdicts, like the
-    margins, can be journaled and thresholded later.  The clips
-    themselves stay behind.
+    quarantine dump; the caller stamps ``shard_id``.  ``feedback`` (the
+    detector's feedback kernel, or ``None``) judges every gated
+    candidate — every margin above ``GATED_OUT``, whatever the
+    threshold — so the verdicts, like the margins, can be journaled and
+    thresholded later.  The clips themselves stay behind.
     """
     started = time.perf_counter()
     quarantine = QuarantineReport()
@@ -421,49 +407,201 @@ def evaluate_shard(
 
 
 # ----------------------------------------------------------------------
-# the journal
+# the plan: cells, journal keys, the merge
 # ----------------------------------------------------------------------
 def shard_key(cell: tuple[int, int], geometry_sha: str) -> str:
     """A shard's journal key: its grid-cell origin plus its geometry hash."""
     return f"{cell[0]}_{cell[1]}_{geometry_sha}"
 
 
-def open_shard_journal(
-    directory: Union[str, Path],
-    base: str,
-    shard_side: int,
-    cells: list,
-    geometry_hashes: list[str],
-    reuse: bool,
-) -> tuple[Journal, dict[int, _ShardRecord]]:
-    """Open a scan's journal; return it with the reusable shards by id.
+def shard_cells(
+    layout, spec, layer: int, shard_side: int
+) -> list[tuple[tuple[int, int], list[tuple[int, int]]]]:
+    """Bucket the layer's candidate anchors into grid cells.
 
-    ``base`` is :func:`scan_base_fingerprint`.  With ``reuse`` every
-    journaled shard whose key (:func:`shard_key`) is in this run's plan
-    comes back, whatever layout the journal was written for — see
-    :func:`shard_geometry_hash` for why that is sound.
+    Returns ``(cell origin, anchors)`` pairs, where the origin is the
+    cell's absolute lower-left in DBU.  The grid is anchored at the layer
+    bounding box's lower-left; each anchor falls in exactly one half-open
+    cell, so the buckets partition the global anchor set.  Empty cells
+    are dropped; bucket order is the cell's (column, row) order, which is
+    deterministic for a given layout + ``shard_side``.
     """
-    journal = Journal(directory)
-    identity = {"version": SCAN_JOURNAL_VERSION, "base": base, "shard_side": shard_side}
-    keys = [shard_key(cell, sha) for (cell, _), sha in zip(cells, geometry_hashes)]
-    return journal, journal.begin(identity, keys, reuse, decode_shard_record)
+    anchors = extraction.candidate_anchors(layout, spec, layer)
+    if not anchors:
+        return []
+    box = layout.bbox(layer)
+    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for x, y in anchors:
+        key = ((x - box.x0) // shard_side, (y - box.y0) // shard_side)
+        buckets.setdefault(key, []).append((x, y))
+    return [
+        (
+            (box.x0 + cx * shard_side, box.y0 + cy * shard_side),
+            buckets[(cx, cy)],
+        )
+        for cx, cy in sorted(buckets)
+    ]
 
 
-def journal_shard(journal: Journal, record: _ShardRecord) -> None:
-    """Journal one completed shard (its ``cell`` and hash already set).
+def merge_records(records: list[_ShardRecord], shard_id: int = -1) -> _ShardRecord:
+    """Merge shard records into one, its candidates in anchor order.
 
-    A shard whose feedback kernel errored is left out, so a resumed or
-    incremental run evaluates it again instead of reusing void verdicts.
+    The scan's only merge: of a bisected shard's parts, and of a whole
+    scan's shards.  Funnel counts and wall seconds add up, quarantine
+    dumps merge in ``records`` order, and one degraded record degrades
+    the merge.
     """
-    if record.feedback_degraded:
-        return
-    journal.record(
-        shard_key(record.cell, record.geometry_sha),
-        encode_shard_record(record),
-        anchors=record.anchor_count,
-        candidates=len(record.anchors),
-        wall_s=round(record.wall_s, 6),
+    triples: list[tuple[tuple[int, int], float, bool]] = []
+    quarantine = QuarantineReport()
+    for record in records:
+        triples.extend(zip(record.anchors, record.margins, record.verdicts))
+        if record.quarantine.get("total"):
+            quarantine.merge(QuarantineReport.from_dict(record.quarantine))
+    triples.sort(key=lambda item: item[0])
+    return _ShardRecord(
+        shard_id=shard_id,
+        anchors=[anchor for anchor, _, _ in triples],
+        margins=np.asarray([margin for _, margin, _ in triples], dtype=float),
+        verdicts=np.asarray([verdict for _, _, verdict in triples], dtype=bool),
+        anchor_count=sum(record.anchor_count for record in records),
+        rejected_density=sum(record.rejected_density for record in records),
+        rejected_count=sum(record.rejected_count for record in records),
+        rejected_boundary=sum(record.rejected_boundary for record in records),
+        quarantine=quarantine.to_dict(),
+        feedback_degraded=any(record.feedback_degraded for record in records),
+        wall_s=sum(record.wall_s for record in records),
     )
+
+
+class ShardPlan:
+    """One scan's shards, journal and merge, shared by every kind of scan.
+
+    The local scan (:func:`run_sharded_scan`), the fleet coordinator
+    and the chaos drill's journal merge each build one.  It holds the
+    grid cells with their anchors (:func:`shard_cells`) and, for a
+    journaled scan, the opened journal and the journaled records this
+    run reuses.  Influence regions are hashed only then, to key the
+    journal (:func:`shard_key`); its identity is the journal version,
+    :func:`scan_base_fingerprint` and the shard side.  With ``reuse``,
+    every journaled shard whose key is in this plan is reused, whatever
+    layout the journal was written for — see :func:`shard_geometry_hash`
+    for why that is sound.
+    """
+
+    def __init__(
+        self,
+        detector,
+        layout,
+        layer: int = 1,
+        shard_side: Optional[int] = None,
+        journal_dir: Optional[Union[str, Path]] = None,
+        reuse: bool = False,
+    ) -> None:
+        model = detector.model_
+        if model is None:
+            raise NotFittedError("scan used before fit()")
+        config = detector.config
+        self.layout = layout
+        self.layer = layer
+        self.spec = config.spec
+        self.shard_side = shard_side or config.spec.clip_side * DEFAULT_SHARD_CLIPS
+        #: ``(cell origin, anchors)`` by shard id.
+        self.cells = shard_cells(layout, config.spec, layer, self.shard_side)
+        self.shards = [anchors for _, anchors in self.cells]
+        self.journal: Optional[Journal] = None
+        #: Journaled records this run reuses, by shard id.
+        self.reused: dict[int, _ShardRecord] = {}
+        if journal_dir is None:
+            return
+        self._keys = [
+            shard_key(
+                cell,
+                shard_geometry_hash(
+                    layout, layer, cell, self.shard_side, config.spec.clip_side
+                ),
+            )
+            for cell, _ in self.cells
+        ]
+        identity = {
+            "version": SCAN_JOURNAL_VERSION,
+            "base": scan_base_fingerprint(
+                layer, config, model, detector.feedback_, self.shard_side
+            ),
+            "shard_side": self.shard_side,
+        }
+        self.journal = Journal(journal_dir)
+        self.reused = self.journal.begin(
+            identity, self._keys, reuse, decode_shard_record
+        )
+        if self.reused:
+            _log.info(
+                "scan_resumed",
+                shards=len(self.reused),
+                of=len(self.cells),
+                directory=str(self.journal.directory),
+            )
+
+    def commit(self, shard_id: int, record: _ShardRecord) -> None:
+        """Journal one completed shard under its key (if journaled).
+
+        A shard whose feedback kernel errored is left out, so a resumed or
+        incremental run evaluates it again instead of reusing void verdicts.
+        """
+        if self.journal is None or record.feedback_degraded:
+            return
+        self.journal.record(
+            self._keys[shard_id],
+            encode_shard_record(record),
+            anchors=record.anchor_count,
+            candidates=len(record.anchors),
+            wall_s=round(record.wall_s, 6),
+        )
+
+    def finish(
+        self,
+        completed: dict[int, _ShardRecord],
+        quarantine: Optional[QuarantineReport] = None,
+        stats: Optional[PoolStats] = None,
+        keep_journal: bool = False,
+    ) -> ScanResult:
+        """Merge every shard's record into the scan's result.
+
+        Raises :class:`~repro.errors.ScanDrainedError` while a shard is
+        missing; the journal keeps the finished ones.  Otherwise the
+        journal is cleared, unless ``keep_journal``: a kept journal is
+        the state the next incremental run diffs against, so its reused
+        records count as ``shards_reused`` rather than ``shards_resumed``.
+        """
+        if len(completed) < len(self.cells):
+            raise ScanDrainedError(
+                f"scan drained with {len(completed)}/{len(self.cells)} shards "
+                "complete; rerun with --resume to finish"
+            )
+        merged = merge_records([completed[i] for i in range(len(self.cells))])
+        merged_quarantine = QuarantineReport.from_dict(merged.quarantine)
+        if quarantine is not None:
+            quarantine.merge(merged_quarantine)
+        reused = len(self.reused) if keep_journal else 0
+        if self.journal is not None and not keep_journal:
+            self.journal.clear()
+        return ScanResult(
+            anchors=merged.anchors,
+            margins=merged.margins,
+            verdicts=merged.verdicts,
+            anchor_count=merged.anchor_count,
+            rejected_density=merged.rejected_density,
+            rejected_count=merged.rejected_count,
+            rejected_boundary=merged.rejected_boundary,
+            quarantined=merged_quarantine.total,
+            feedback_degraded=merged.feedback_degraded,
+            stats=stats if stats is not None else PoolStats(),
+            shards_total=len(self.cells),
+            shards_resumed=len(self.reused) - reused,
+            shards_reused=reused,
+            layout=self.layout,
+            spec=self.spec,
+            layer=self.layer,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -511,35 +649,6 @@ def _scan_shard_task(state: _WorkerState, payload) -> _ShardRecord:
 # ----------------------------------------------------------------------
 # the driver
 # ----------------------------------------------------------------------
-def shard_cells(
-    layout, spec, layer: int, shard_side: int
-) -> list[tuple[tuple[int, int], list[tuple[int, int]]]]:
-    """Bucket the layer's candidate anchors into grid cells.
-
-    Returns ``(cell origin, anchors)`` pairs, where the origin is the
-    cell's absolute lower-left in DBU.  The grid is anchored at the layer
-    bounding box's lower-left; each anchor falls in exactly one half-open
-    cell, so the buckets partition the global anchor set.  Empty cells
-    are dropped; bucket order is the cell's (column, row) order, which is
-    deterministic for a given layout + ``shard_side``.
-    """
-    anchors = extraction.candidate_anchors(layout, spec, layer)
-    if not anchors:
-        return []
-    box = layout.bbox(layer)
-    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for x, y in anchors:
-        key = ((x - box.x0) // shard_side, (y - box.y0) // shard_side)
-        buckets.setdefault(key, []).append((x, y))
-    return [
-        (
-            (box.x0 + cx * shard_side, box.y0 + cy * shard_side),
-            buckets[(cx, cy)],
-        )
-        for cx, cy in sorted(buckets)
-    ]
-
-
 def run_sharded_scan(
     detector,
     layout,
@@ -550,64 +659,37 @@ def run_sharded_scan(
     """Scan a layout shard by shard; see module docs.
 
     Returns the merged candidates' anchors, margins and verdicts in
-    global anchor order.  An in-process scan (``options.workers == 0``)
-    reads the detector's model, feedback kernel and cache and writes no
-    detector state, so concurrent calls on one detector are safe.  Raises
-    :class:`~repro.errors.ScanDrainedError` when ``options.stop_event``
-    drains the scan before every shard completed (finished shards stay
-    journaled for ``resume``).
+    global anchor order.  An in-process scan (``options.workers == 0``,
+    the default) reads the detector's model, feedback kernel and cache
+    and writes no detector state, so concurrent calls on one detector
+    are safe.  Raises :class:`~repro.errors.ScanDrainedError` when
+    ``options.stop_event`` drains the scan before every shard completed
+    (finished shards stay journaled for ``resume``).
     """
     options = options or ScanOptions()
-    model = detector.model_
-    if model is None:
-        raise NotFittedError("sharded scan used before fit()")
-    feedback = detector.feedback_
-    config = detector.config
-    shard_side = options.shard_side or config.spec.clip_side * DEFAULT_SHARD_CLIPS
     if options.incremental and options.journal_dir is None:
         raise CheckpointError("incremental scans require a journal directory")
+    model = detector.model_
+    feedback = detector.feedback_
+    config = detector.config
 
     with trace("work.scan", layer=layer, workers=options.workers) as span:
-        cells = shard_cells(layout, config.spec, layer, shard_side)
-        shards = [anchors for _, anchors in cells]
-        span.set(shards=len(shards))
+        plan = ShardPlan(
+            detector,
+            layout,
+            layer,
+            options.shard_side,
+            options.journal_dir,
+            reuse=options.resume or options.incremental,
+        )
+        span.set(shards=len(plan.shards))
 
-        journal: Optional[Journal] = None
-        resumed: dict[int, _ShardRecord] = {}
-        geometry_hashes: list[str] = []
-        if options.journal_dir is not None:
-            geometry_hashes = [
-                shard_geometry_hash(
-                    layout, layer, cell, shard_side, config.spec.clip_side
-                )
-                for cell, _ in cells
-            ]
-            journal, resumed = open_shard_journal(
-                options.journal_dir,
-                scan_base_fingerprint(layer, config, model, feedback, shard_side),
-                shard_side,
-                cells,
-                geometry_hashes,
-                reuse=options.resume or options.incremental,
-            )
-            if resumed:
-                _log.info(
-                    "scan_resumed",
-                    shards=len(resumed),
-                    of=len(shards),
-                    incremental=options.incremental,
-                    directory=str(journal.directory),
-                )
-        # The same match is "reused" by an incremental scan and
-        # "resumed" by any other.
-        reused = len(resumed) if options.incremental else 0
-
-        completed: dict[int, _ShardRecord] = dict(resumed)
+        completed: dict[int, _ShardRecord] = dict(plan.reused)
         parts: dict[int, list[_ShardRecord]] = {}
         pending: dict[int, int] = {}
-        poison_entries: dict[int, QuarantineReport] = {}
+        poison: dict[int, QuarantineReport] = {}
         tasks: list[PoolTask] = []
-        for shard_id, anchors in enumerate(shards):
+        for shard_id, anchors in enumerate(plan.shards):
             if shard_id in completed:
                 continue
             pending[shard_id] = 1
@@ -627,40 +709,23 @@ def run_sharded_scan(
             # a ``kill`` plan SIGKILLs the whole parent, which is how
             # the CI chaos job produces a journal to resume.
             faults.inject("work.shard", shard=shard_id)
+            # A bisected shard completes in several parts, in any order;
+            # its isolated anchors add quarantine entries, no candidates.
             shard_parts = parts.pop(shard_id)
-            # A bisected shard completes in several parts, in any order.
-            merged = sorted(
-                (
-                    item
-                    for part in shard_parts
-                    for item in zip(part.anchors, part.margins, part.verdicts)
-                ),
-                key=lambda item: item[0],
-            )
-            shard_quarantine = QuarantineReport()
-            for part in shard_parts:
-                shard_quarantine.merge(QuarantineReport.from_dict(part.quarantine))
-            poison = poison_entries.pop(shard_id, None)
-            if poison is not None:
-                shard_quarantine.merge(poison)
-            record = _ShardRecord(
-                shard_id=shard_id,
-                anchors=[item[0] for item in merged],
-                margins=np.asarray([item[1] for item in merged], dtype=float),
-                verdicts=np.asarray([item[2] for item in merged], dtype=bool),
-                anchor_count=sum(part.anchor_count for part in shard_parts),
-                rejected_density=sum(part.rejected_density for part in shard_parts),
-                rejected_count=sum(part.rejected_count for part in shard_parts),
-                rejected_boundary=sum(part.rejected_boundary for part in shard_parts),
-                quarantine=shard_quarantine.to_dict(),
-                feedback_degraded=any(part.feedback_degraded for part in shard_parts),
-                cell=cells[shard_id][0],
-                geometry_sha=geometry_hashes[shard_id] if geometry_hashes else "",
-                wall_s=sum(part.wall_s for part in shard_parts),
-            )
+            if shard_id in poison:
+                shard_parts.append(
+                    _ShardRecord(
+                        shard_id=shard_id,
+                        anchors=[],
+                        margins=np.zeros(0),
+                        verdicts=np.zeros(0, dtype=bool),
+                        anchor_count=0,
+                        quarantine=poison.pop(shard_id).to_dict(),
+                    )
+                )
+            record = merge_records(shard_parts, shard_id)
             completed[shard_id] = record
-            if journal is not None:
-                journal_shard(journal, record)
+            plan.commit(shard_id, record)
             tally("work.shard", record.wall_s)
 
         def on_result(task: PoolTask, result: _ShardRecord, info=None) -> None:
@@ -673,7 +738,7 @@ def run_sharded_scan(
         def on_poison(task: PoolTask, error: BaseException) -> None:
             shard_id = task.group
             _, anchors = task.payload
-            report = poison_entries.setdefault(shard_id, QuarantineReport())
+            report = poison.setdefault(shard_id, QuarantineReport())
             report.add(
                 "PoisonTaskError",
                 f"task {task.task_id} isolated by bisection: "
@@ -715,13 +780,13 @@ def run_sharded_scan(
         elif tasks:
             # Every shard may come from the journal (a fully-unchanged
             # incremental rescan): then there is nothing to fork for.
-            cache_dir = options.cache_dir
-            if cache_dir is None:
-                cache_dir = getattr(detector.cache_, "directory", None)
             pool = SupervisedPool(
                 replace(options.pool or PoolConfig(), workers=options.workers),
                 init_fn=_scan_worker_init,
-                init_args=(config, model, feedback, layout, layer, cache_dir),
+                init_args=(
+                    config, model, feedback, layout, layer,
+                    getattr(detector.cache_, "directory", None),
+                ),
             )
             stats = pool.run(
                 tasks,
@@ -730,71 +795,11 @@ def run_sharded_scan(
                 on_poison=on_poison,
                 stop_event=options.stop_event,
             )
-        span.set(
-            restarts=stats.worker_restarts,
-            poison=stats.poison_tasks,
-            resumed=len(resumed) - reused,
-            reused=reused,
-        )
-
-        if len(completed) < len(shards):
-            raise ScanDrainedError(
-                f"scan drained with {len(completed)}/{len(shards)} shards "
-                "complete; rerun with --resume to finish"
-            )
-
-        result = _merge_shards(
-            detector, layout, layer, shards, completed, quarantine, stats
-        )
-        result.shards_reused = reused
-        result.shards_resumed = len(resumed) - reused
+        span.set(restarts=stats.worker_restarts, poison=stats.poison_tasks)
         # An incremental scan's journal IS the state the next incremental
         # run diffs against; clearing it would defeat the mode.
-        if journal is not None and not (options.keep_journal or options.incremental):
-            journal.clear()
+        result = plan.finish(
+            completed, quarantine, stats, keep_journal=options.incremental
+        )
+        span.set(resumed=result.shards_resumed, reused=result.shards_reused)
         return result
-
-
-def _merge_shards(
-    detector,
-    layout,
-    layer: int,
-    shards: list,
-    completed: dict[int, _ShardRecord],
-    quarantine: Optional[QuarantineReport],
-    stats: PoolStats,
-) -> ScanResult:
-    """Merge shard records into the global (anchor-sorted) candidate list."""
-    triples: list[tuple[tuple[int, int], float, bool]] = []
-    anchor_count = 0
-    rejected = [0, 0, 0]
-    quarantined = 0
-    for shard_id in range(len(shards)):
-        record = completed[shard_id]
-        anchor_count += record.anchor_count
-        rejected[0] += record.rejected_density
-        rejected[1] += record.rejected_count
-        rejected[2] += record.rejected_boundary
-        if record.quarantine:
-            shard_quarantine = QuarantineReport.from_dict(record.quarantine)
-            quarantined += shard_quarantine.total
-            if quarantine is not None:
-                quarantine.merge(shard_quarantine)
-        triples.extend(zip(record.anchors, record.margins, record.verdicts))
-    triples.sort(key=lambda item: item[0])
-    return ScanResult(
-        anchors=[anchor for anchor, _, _ in triples],
-        margins=np.asarray([margin for _, margin, _ in triples], dtype=float),
-        verdicts=np.asarray([verdict for _, _, verdict in triples], dtype=bool),
-        anchor_count=anchor_count,
-        rejected_density=rejected[0],
-        rejected_count=rejected[1],
-        rejected_boundary=rejected[2],
-        quarantined=quarantined,
-        feedback_degraded=any(record.feedback_degraded for record in completed.values()),
-        stats=stats,
-        shards_total=len(shards),
-        layout=layout,
-        spec=detector.config.spec,
-        layer=layer,
-    )

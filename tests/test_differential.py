@@ -109,7 +109,7 @@ class TestCacheModesBitIdentical:
 
     def test_off_cold_warm_process(self, detached, small_benchmark, tmp_path):
         layout = small_benchmark.testing.layout
-        options = ScanOptions(workers=2, cache_dir=tmp_path / "cache")
+        options = ScanOptions(workers=2)
         baseline = signature(detached, detached.detect(layout, work=ScanOptions(workers=2)))
 
         detached.attach_cache(HotspotCache(directory=tmp_path / "cache"))
@@ -171,7 +171,6 @@ class TestIncrementalBitIdentical:
                 workers=workers,
                 journal_dir=tmp_path / f"journal-{workers}",
                 incremental=True,
-                cache_dir=tmp_path / "cache",
             )
             first = detached.detect(layout, work=options)
             assert first.shards_reused == 0

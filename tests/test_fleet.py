@@ -43,6 +43,7 @@ from repro.fleet import (
 from repro.fleet.protocol import BLOB_TYPE, JSON_TYPE, wait_until
 from repro.layout.io import save_layout_gds
 from repro.resilience import faults
+from repro.work import ScanOptions
 from repro.work.shard import encode_shard_record, evaluate_shard, scan_fingerprint
 
 
@@ -111,6 +112,93 @@ def run_fleet(detector, layout, worker_count, options=None, layer=1):
             thread.join(timeout=30)
         scan = coordinator.result()
     return coordinator, workers, scan
+
+
+def funnel(scan):
+    return (
+        scan.anchor_count,
+        scan.rejected_density,
+        scan.rejected_count,
+        scan.rejected_boundary,
+        scan.quarantined,
+    )
+
+
+# ----------------------------------------------------------------------
+# one shard plan: local scans and the coordinator resume each other
+# ----------------------------------------------------------------------
+class TestOnePlanForLocalAndFleetScans:
+    def test_coordinator_resumes_a_local_journal(
+        self, detached, small_benchmark, tmp_path
+    ):
+        layout = small_benchmark.testing.layout
+        journal_dir = tmp_path / "journal"
+        local = detached.detect(
+            layout, work=ScanOptions(journal_dir=journal_dir, incremental=True)
+        )
+        coordinator = FleetCoordinator(
+            detached,
+            layout,
+            options=FleetOptions(journal_dir=journal_dir, resume=True),
+        )
+        assert len(coordinator.plan.reused) == len(coordinator.shards)
+        assert len(coordinator.shards) == local.shards_total > 1
+        assert coordinator.wait(timeout=0)  # nothing left to lease
+        scan = coordinator.result()
+        assert coordinator.leases_granted == 0
+        assert scan.shards_resumed == scan.shards_total
+        assert scan.anchors == local.extraction.anchors
+        assert np.array_equal(scan.margins, local.extraction.margins)
+        assert np.array_equal(scan.verdicts, local.extraction.verdicts)
+        assert funnel(scan) == funnel(local.extraction)
+        assert_identical(
+            signature(detached, local),
+            signature(detached, detached.detect(layout, scan=scan)),
+        )
+
+    def test_local_scan_resumes_a_coordinator_journal(
+        self, detached, small_benchmark, tmp_path
+    ):
+        layout = small_benchmark.testing.layout
+        journal_dir = tmp_path / "journal"
+        baseline = detached.detect(layout)
+        coordinator = FleetCoordinator(
+            detached,
+            layout,
+            options=FleetOptions(journal_dir=journal_dir, keep_journal=True),
+        )
+        for shard_id, anchors in enumerate(coordinator.shards):
+            record = evaluate_shard(
+                detached.config, detached.model_, detached.feedback_,
+                layout, 1, anchors,
+            )
+            status, answer, _ = coordinator.handle(
+                "POST",
+                f"/fleet/v1/push?shard={shard_id}&lease=1"
+                f"&epoch={coordinator.epoch}",
+                wrap_blob(encode_shard_record(record)),
+                {},
+            )
+            assert status == 200 and answer["status"] == "ok"
+        assert coordinator.wait(timeout=0)
+        resumed = detached.detect(
+            layout, work=ScanOptions(journal_dir=journal_dir, resume=True)
+        )
+        assert resumed.shards_resumed == resumed.shards_total
+        assert resumed.shards_total == len(coordinator.shards) > 1
+        assert np.array_equal(resumed.extraction.margins, baseline.extraction.margins)
+        assert funnel(resumed.extraction) == funnel(baseline.extraction)
+        assert_identical(signature(detached, baseline), signature(detached, resumed))
+
+    def test_lease_carries_the_shard_and_its_anchors_only(
+        self, detached, small_benchmark
+    ):
+        coordinator = FleetCoordinator(detached, small_benchmark.testing.layout)
+        lease = coordinator._grant("w")
+        assert set(lease) == {"status", "shard", "lease", "ttl_s", "anchors"}
+        assert lease["anchors"] == [
+            list(anchor) for anchor in coordinator.shards[lease["shard"]]
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,7 @@ from repro.work import (
     decode_shard_record,
     encode_shard_record,
     evaluate_shard,
+    run_sharded_scan,
     scan_fingerprint,
     shard_cells,
 )
@@ -339,6 +340,48 @@ class TestShardedScan:
         assert sorted(flattened) == candidate_anchors(layout, spec, 1)
         assert len(flattened) == len(set(flattened))
 
+    def test_default_options_scan_in_process_unjournaled(
+        self, fitted, small_benchmark, serial_report, monkeypatch
+    ):
+        import repro.work.shard as shard_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ScanOptions() must scan in-process, unjournaled")
+
+        # ScanOptions() means what detect() does: no pool, and no
+        # influence-region hash without a journal to key.
+        monkeypatch.setattr(shard_module, "SupervisedPool", forbidden)
+        monkeypatch.setattr(shard_module, "shard_geometry_hash", forbidden)
+        scan = run_sharded_scan(fitted, small_benchmark.testing.layout)
+        assert scan.shards_total == serial_report.shards_total
+        assert scan.anchors == serial_report.extraction.anchors
+        assert np.array_equal(scan.margins, serial_report.extraction.margins)
+        assert np.array_equal(scan.verdicts, serial_report.extraction.verdicts)
+
+    def test_incremental_rescan_hashes_and_decodes_each_shard_once(
+        self, fitted, small_benchmark, tmp_path, monkeypatch
+    ):
+        import repro.work.shard as shard_module
+
+        layout = small_benchmark.testing.layout
+        options = ScanOptions(journal_dir=tmp_path / "journal", incremental=True)
+        fitted.detect(layout, work=options)
+        calls = {"shard_geometry_hash": 0, "decode_shard_record": 0}
+        for name in calls:
+            original = getattr(shard_module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(shard_module, name, counting)
+        rescan = fitted.detect(layout, work=options)
+        assert rescan.shards_reused == rescan.shards_total > 1
+        assert calls == {
+            "shard_geometry_hash": rescan.shards_total,
+            "decode_shard_record": rescan.shards_total,
+        }
+
     def test_process_backend_bit_identical(
         self, fitted, small_benchmark, serial_report
     ):
@@ -397,7 +440,7 @@ class TestShardedScan:
         # A complete journal of this very scan ...
         fitted.detect(
             layout,
-            work=ScanOptions(workers=0, journal_dir=poisoned, keep_journal=True),
+            work=ScanOptions(workers=0, journal_dir=poisoned, incremental=True),
         )
         header, *units = (poisoned / "journal.jsonl").read_text().splitlines()
         identity = json.loads(header)["identity"]
@@ -600,7 +643,7 @@ class TestShardVerdicts:
             layout,
             quarantine=quarantine,
             work=ScanOptions(
-                workers=workers, journal_dir=journal_dir, keep_journal=True
+                workers=workers, journal_dir=journal_dir, incremental=True
             ),
         )
         monkeypatch.undo()
@@ -760,6 +803,26 @@ class TestCliProcessScan:
         assert _core_lines(resumed.stdout)  # the scan actually found hotspots
         # Success cleared the journal.
         assert not (scan_workdir / "journal" / "journal.jsonl").exists()
+
+    def test_no_cache_pool_scan_opens_no_cache_dir(self, scan_workdir):
+        # --no-cache wins over --cache-dir in pool workers too: they open
+        # only the cache the scan attached, and --no-cache attaches none.
+        result = _run_cli(
+            [
+                "scan",
+                "--model", "model.npz",
+                "--layout", "layout.gds",
+                "--no-manifest",
+                "--no-cache",
+                "--cache-dir", "unused-cache",
+                "--workers", "2",
+                "--no-journal",
+            ],
+            scan_workdir,
+        )
+        assert result.returncode == 0, result.stderr
+        assert _core_lines(result.stdout)
+        assert sorted((scan_workdir / "unused-cache").rglob("*.blob")) == []
 
     def test_threshold_at_or_below_gated_out_exits_2(self, scan_workdir):
         result = _run_cli(
