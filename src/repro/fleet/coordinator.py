@@ -61,6 +61,7 @@ from repro.fleet.protocol import (
 from repro.obs import MetricsAggregator, get_logger, new_request_id, trace
 from repro.serve.metrics import MetricsRegistry
 from repro.resilience import faults
+from repro.resilience.checkpoint import Journal
 from repro.resilience.quarantine import QuarantineReport
 from repro.work.shard import (
     ScanResult,
@@ -853,16 +854,14 @@ class FleetCoordinator:
         with trace(
             "fleet.merge", shards=len(self.shards), resumed=len(self.plan.reused)
         ):
-            result = self.plan.finish(
+            return self.plan.finish(
                 completed, quarantine, keep_journal=self.options.keep_journal
             )
-        if self.plan.journal is not None and not self.options.keep_journal:
-            _clear_epoch(Path(self.options.journal_dir))
-        return result
 
 
-#: Sidecar file (in the journal dir) persisting the leader epoch.
-EPOCH_FILE = "epoch.json"
+#: Sidecar file (in the journal dir) persisting the leader epoch; a
+#: cleared journal takes it along.
+EPOCH_FILE = Journal.EPOCH
 
 
 def _read_epoch(journal_dir: Path) -> Optional[int]:
@@ -879,16 +878,6 @@ def _write_epoch(journal_dir: Path, epoch: int) -> None:
         (journal_dir / EPOCH_FILE).write_text(json.dumps({"epoch": int(epoch)}))
     except OSError:
         pass  # best-effort: a lost sidecar only costs monotonicity-on-resume
-
-
-def _clear_epoch(journal_dir: Path) -> None:
-    """Drop the sidecar with the cleared journal (a finished scan's
-    epoch has no successor to fence against)."""
-    try:
-        (journal_dir / EPOCH_FILE).unlink(missing_ok=True)
-        journal_dir.rmdir()
-    except OSError:
-        pass
 
 
 def _percentile(ordered: list, q: float) -> float:

@@ -10,7 +10,7 @@ the polygon area).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
@@ -139,8 +139,8 @@ def disjoint_cover(rects: Iterable[Rect]) -> list[Rect]:
     return accepted
 
 
-def any_overlap(ordered: list[Rect]) -> bool:
-    """Whether two rects of an x0-sorted list share area (sort and sweep).
+def overlapping_pairs(ordered: list[Rect]) -> Iterator[tuple[Rect, Rect]]:
+    """Every pair of rects of an x0-sorted list that share area (sort and sweep).
 
     Later rects start at or right of ``a.x0``, so the scan for ``a`` stops
     at the first one starting at or right of ``a.x1``.
@@ -151,8 +151,12 @@ def any_overlap(ordered: list[Rect]) -> bool:
             if b.x0 >= x1:
                 break
             if b.y0 < y1 and y0 < b.y1:
-                return True
-    return False
+                yield a, b
+
+
+def any_overlap(ordered: list[Rect]) -> bool:
+    """Whether two rects of an x0-sorted list share area."""
+    return next(overlapping_pairs(ordered), None) is not None
 
 
 def rects_cover_polygon(polygon: Polygon, rects: list[Rect]) -> bool:

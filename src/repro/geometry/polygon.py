@@ -95,10 +95,16 @@ class Polygon:
         self.vertices = points
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def from_rect(rect: Rect) -> "Polygon":
-        """The four-vertex polygon of a rectangle."""
-        return Polygon(rect.corners())
+    @classmethod
+    def from_rect(cls, rect: Rect) -> "Polygon":
+        """The four-vertex polygon of a rectangle.
+
+        A ``Rect`` is non-degenerate, and its corners run counter-clockwise
+        with no collinear vertex, so none of ``__init__``'s checks apply.
+        """
+        polygon = cls.__new__(cls)
+        polygon.vertices = list(rect.corners())
+        return polygon
 
     @property
     def num_vertices(self) -> int:

@@ -9,9 +9,13 @@ right trade-off for layouts whose shapes are uniformly routing-pitch sized.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from repro.errors import LayoutError
+from repro.geometry.dissect import overlapping_pairs
 from repro.geometry.rect import Rect
 
 
@@ -31,6 +35,9 @@ class RectIndex:
         self._bucket_size = bucket_size
         self._buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
         self._rects: list[Rect] = []
+        # Built on first use, dropped when a rect is inserted.
+        self._coords: Optional[np.ndarray] = None
+        self._overlap_coords: Optional[np.ndarray] = None
         for rect in rects:
             self.insert(rect)
 
@@ -47,6 +54,7 @@ class RectIndex:
         self._rects.append(rect)
         for key in self._bucket_keys(rect):
             self._buckets[key].append(rect_id)
+        self._coords = self._overlap_coords = None
         return rect_id
 
     def rect(self, rect_id: int) -> Rect:
@@ -101,6 +109,24 @@ class RectIndex:
         """Every indexed rectangle, in insertion order."""
         return list(self._rects)
 
+    def coords(self) -> np.ndarray:
+        """The indexed rectangles as ``(N, 4)`` int64 rows
+        ``x0, y0, x1, y1``, row ``i`` being rect id ``i``."""
+        if self._coords is None:
+            self._coords = rect_coords(self._rects)
+        return self._coords
+
+    def overlap_coords(self) -> np.ndarray:
+        """``(K, 4)`` int64 rows of the intersection of every pair of
+        indexed rectangles that share area (GDSII union semantics;
+        equal rectangles inserted twice are such a pair)."""
+        if self._overlap_coords is None:
+            ordered = sorted(self._rects, key=attrgetter("x0"))
+            self._overlap_coords = rect_coords(
+                [a.intersection(b) for a, b in overlapping_pairs(ordered)]
+            )
+        return self._overlap_coords
+
     def _bucket_keys(self, rect: Rect) -> Iterator[tuple[int, int]]:
         size = self._bucket_size
         # floor division handles negative coordinates correctly in Python.
@@ -109,3 +135,10 @@ class RectIndex:
         for bx in range(bx0, bx1 + 1):
             for by in range(by0, by1 + 1):
                 yield (bx, by)
+
+
+def rect_coords(rects: Iterable[Rect]) -> np.ndarray:
+    """``rects`` as ``(N, 4)`` int64 rows ``x0, y0, x1, y1``."""
+    return np.array(
+        [(r.x0, r.y0, r.x1, r.y1) for r in rects], dtype=np.int64
+    ).reshape(-1, 4)

@@ -9,7 +9,9 @@ directory holding
   every further line records one completed unit ``{key, file, ...}``,
   appended and fsynced as the unit completes;
 - ``unit_<key>.npz`` — one payload per completed unit, written
-  atomically (tmp file + ``os.replace``) before its journal line.
+  atomically (tmp file + ``os.replace``) before its journal line;
+- ``epoch.json`` — in a fleet coordinator's scan journal, its leader
+  epoch (:mod:`repro.fleet.coordinator`).
 
 The *identity* names everything a unit's payload depends on beyond its
 own key (format version, training data and config, model, shard grid);
@@ -67,6 +69,8 @@ class Journal:
     """One directory of content-keyed, individually resumable work units."""
 
     NAME = "journal.jsonl"
+    #: The leader-epoch sidecar; :meth:`clear` removes it with the units.
+    EPOCH = "epoch.json"
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
@@ -206,6 +210,7 @@ class Journal:
         for path in self.directory.glob("unit_*.npz*"):
             path.unlink(missing_ok=True)
         self._path().unlink(missing_ok=True)
+        (self.directory / self.EPOCH).unlink(missing_ok=True)
         try:
             self.directory.rmdir()
         except OSError:

@@ -189,6 +189,12 @@ class TestOnePlanForLocalAndFleetScans:
         assert np.array_equal(resumed.extraction.margins, baseline.extraction.margins)
         assert funnel(resumed.extraction) == funnel(baseline.extraction)
         assert_identical(signature(detached, baseline), signature(detached, resumed))
+        # The finished scan cleared the coordinator's epoch with the journal.
+        assert not journal_dir.exists()
+        later = FleetCoordinator(
+            detached, layout, options=FleetOptions(journal_dir=journal_dir, resume=True)
+        )
+        assert later.epoch == 1
 
     def test_lease_carries_the_shard_and_its_anchors_only(
         self, detached, small_benchmark

@@ -39,6 +39,20 @@ class TestPolygon:
     def test_area_rect(self):
         assert Polygon.from_rect(Rect(1, 1, 5, 4)).area == 12
 
+    @given(
+        st.integers(-10_000, 10_000),
+        st.integers(-10_000, 10_000),
+        st.integers(1, 5_000),
+        st.integers(1, 5_000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_from_rect_equals_checked_constructor(self, x, y, w, h):
+        rect = Rect(x, y, x + w, y + h)
+        built, checked = Polygon.from_rect(rect), Polygon(rect.corners())
+        assert built == checked
+        assert built.vertices == checked.vertices
+        assert built.area == rect.area
+
     def test_clockwise_input_normalised(self):
         ccw = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
         cw = Polygon([(0, 0), (0, 4), (4, 4), (4, 0)])
