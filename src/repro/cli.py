@@ -1184,8 +1184,6 @@ def cmd_explain(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import signal
-
     from repro.serve import (
         BatchingConfig,
         HotspotServer,
@@ -1230,30 +1228,21 @@ def cmd_serve(args) -> int:
         service,
         ServerConfig(host=args.host, port=args.port),
         verbose=args.verbose,
-    )
-    server.start()
-    print(f"serving on {server.url} (Ctrl-C or SIGTERM drains and stops)")
+    ).start()
     registration = None
     if args.frontend:
         registration = _register_with_frontend(args.frontend, server, service)
         print(f"registering with frontend {args.frontend}")
-
-    def _shutdown(signum, frame):
-        print(f"signal {signum}: draining queue and shutting down")
-        # stop() joins worker threads; run it off the signal frame.
-        import threading
-
-        threading.Thread(target=server.stop, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _shutdown)
-    signal.signal(signal.SIGINT, _shutdown)
-    server.wait()
-    if registration is not None:
-        registration.set()
-    obs.set_tracer(None)
-    obs.configure_logging(False)
-    print("server stopped")
-    return 0
+    try:
+        # stop() drains the queue, so every in-flight request is answered.
+        return _serve_forever(
+            server, f"serving on {server.url} (Ctrl-C or SIGTERM drains and stops)"
+        )
+    finally:
+        if registration is not None:
+            registration.set()
+        obs.set_tracer(None)
+        obs.configure_logging(False)
 
 
 def _register_with_frontend(frontend_url: str, server, service):
@@ -1902,7 +1891,8 @@ def cmd_chaos(args) -> int:
 
 
 def _serve_forever(server, banner: str) -> int:
-    """Run one fleet HTTP server until SIGTERM/SIGINT."""
+    """Run one HTTP server (a fleet role or ``repro serve``) until
+    SIGTERM/SIGINT, then stop it."""
     import signal
     import threading
 

@@ -1,9 +1,9 @@
-"""Wire format + transport helpers shared by every fleet role.
+"""Wire format + the one HTTP stack every HTTP role runs on.
 
-The fleet speaks two payload kinds over plain HTTP/1.1:
+Every HTTP role speaks two payload kinds over plain HTTP/1.1:
 
 - **JSON documents** for control traffic (leases, heartbeats, membership,
-  status) — same stdlib ``http`` stack as :mod:`repro.serve`;
+  status) and for the serve API (:mod:`repro.serve`);
 - **RPCB1 blobs** for bulk data (pushed shard npz archives, remote cache
   entries) — the cache tier's sha256-enveloped format
   (:func:`repro.cache.wrap_blob` / :func:`repro.cache.open_blob`), so
@@ -11,20 +11,25 @@ The fleet speaks two payload kinds over plain HTTP/1.1:
   corrupt transfer degrades to a miss/retry, never to wrong margins.
 
 Servers subclass nothing: a role implements ``handle(method, path,
-body, headers) -> (status, payload, content_type)`` and wraps itself in
-:class:`FleetHTTPServer`, which reuses the serve front end's
-``SO_REUSEADDR`` + ephemeral-port bind semantics
-(:class:`repro.serve.httpd.ReuseAddrHTTPServer`).
+body, headers) -> (status, payload, content_type[, extra headers])``
+and wraps itself in :class:`FleetHTTPServer`.  The coordinator, its
+standby, cache nodes, the serving front end and every ``repro serve``
+replica (:class:`repro.serve.httpd.HotspotServer`) run on this one
+handler; peers call them through :class:`FleetClient`.  The handler
+refuses an over-limit body unread (``413``), echoes the request's own
+``X-Request-Id`` on every answer, and answers its own errors with the
+``{"error": {"code", "message"}}`` envelope.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 
 from repro.errors import FleetError, FleetProtocolError, TransientError
@@ -37,13 +42,13 @@ from repro.obs.fleet import (
 )
 from repro.obs.trace import enabled as _tracing_enabled
 from repro.resilience import faults
-from repro.serve.httpd import ReuseAddrHTTPServer
 
 #: Bump on breaking fleet wire-format changes; exchanged in every
 #: ``/fleet/v1/config`` handshake.
 FLEET_PROTOCOL_VERSION = 1
 
-#: Bulk payloads (shard pushes, cache blobs) above this are rejected.
+#: Request bodies above this are refused unread with ``413``.  An app
+#: with a tighter limit sets its own ``max_body_bytes``.
 MAX_BLOB_BYTES = 256 * 1024 * 1024
 
 JSON_TYPE = "application/json"
@@ -52,17 +57,76 @@ BLOB_TYPE = "application/x-repro-blob"
 _log = get_logger("fleet.protocol")
 
 
+def encode_error(code: str, message: str, request_id: Optional[str] = None) -> dict:
+    """The structured error envelope of the handler's own answers and
+    of every non-2xx serve response."""
+    document: dict = {"error": {"code": code, "message": message}}
+    if request_id is not None:
+        document["request_id"] = request_id
+    return document
+
+
 # ----------------------------------------------------------------------
 # server side
 # ----------------------------------------------------------------------
-class _FleetHandler(BaseHTTPRequestHandler):
-    """Routes every request into the owning app's ``handle``."""
+class ReuseAddrHTTPServer(ThreadingHTTPServer):
+    """Threaded HTTP server that rebinds cleanly and reports its port.
+
+    ``SO_REUSEADDR`` lets tests (and the fleet's many localhost servers)
+    rebind an address still in ``TIME_WAIT`` without races; binding port
+    ``0`` picks an ephemeral port whose real value is reflected back into
+    ``server_address`` by the stdlib after ``server_bind``.  Handler
+    threads are daemonic so a hung connection never blocks interpreter
+    exit.
+
+    Open connections are tracked so :meth:`close_connections` can sever
+    live HTTP/1.1 keep-alive peers: ``server_close()`` only closes the
+    *listening* socket, and a "stopped" server whose handler threads
+    keep answering persistent connections is a zombie — the exact
+    split-brain failure the fleet's leader-epoch fence exists for.
+    """
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._open_connections: set = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._open_connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._open_connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Sever every live keep-alive connection (called on stop)."""
+        with self._connections_lock:
+            connections = list(self._open_connections)
+            self._open_connections.clear()
+        for request in connections:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closing on its own
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Routes every request into the owning server's app."""
 
     protocol_version = "HTTP/1.1"
-    server_version = "repro-fleet"
+    server_version = "repro"
 
     def log_message(self, format, *args):  # noqa: A002 — stdlib signature
-        pass  # fleet servers log through repro.obs, not stderr
+        # Roles log through repro.obs; an app with ``verbose`` set (``repro
+        # serve --verbose``) also gets the stdlib access log on stderr.
+        if getattr(self.server.app, "verbose", False):  # type: ignore[attr-defined]
+            super().log_message(format, *args)
 
     def _dispatch(self, method: str) -> None:
         # Trace context: adopt the caller's request id (or mint one) and
@@ -72,34 +136,41 @@ class _FleetHandler(BaseHTTPRequestHandler):
         request_id = (self.headers.get(REQUEST_ID_HEADER, "") or "").strip()
         request_id = request_id or new_request_id()
         parent = (self.headers.get(TRACE_PARENT_HEADER, "") or "").strip() or None
-        self._request_id = request_id
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length > MAX_BLOB_BYTES:
-            self._respond(413, {"error": "payload too large"})
-            return
-        body = self.rfile.read(length) if length else b""
         app = self.server.app  # type: ignore[attr-defined]
+        limit = getattr(app, "max_body_bytes", MAX_BLOB_BYTES)
         try:
-            with bind_trace_context(request_id, parent), log_context(
-                request_id=request_id
-            ):
-                if _tracing_enabled():
-                    with trace(
-                        "fleet.rpc",
-                        method=method,
-                        path=self.path.split("?", 1)[0],
-                        request_id=request_id,
-                        **({"trace_parent": parent} if parent else {}),
-                    ):
-                        status, payload, content_type = app.handle(
-                            method, self.path, body, self.headers
-                        )
-                else:
-                    status, payload, content_type = app.handle(
-                        method, self.path, body, self.headers
-                    )
+            length = int(self.headers.get("Content-Length", 0) or 0)
+            if length > limit:
+                # Refused unread; the unread bytes would be parsed as the
+                # next request, so this connection closes after the answer.
+                answer: tuple = (
+                    413,
+                    encode_error(
+                        "payload_too_large",
+                        f"request body exceeds {limit} bytes",
+                        request_id,
+                    ),
+                    JSON_TYPE,
+                    {"Connection": "close"},
+                )
+            else:
+                body = self.rfile.read(length) if length > 0 else b""
+                with bind_trace_context(request_id, parent), log_context(
+                    request_id=request_id
+                ):
+                    if _tracing_enabled():
+                        with trace(
+                            "fleet.rpc",
+                            method=method,
+                            path=self.path.split("?", 1)[0],
+                            request_id=request_id,
+                            **({"trace_parent": parent} if parent else {}),
+                        ):
+                            answer = app.handle(method, self.path, body, self.headers)
+                    else:
+                        answer = app.handle(method, self.path, body, self.headers)
         except FleetProtocolError as exc:
-            status, payload, content_type = 400, {"error": str(exc)}, JSON_TYPE
+            answer = 400, encode_error("bad_request", str(exc), request_id), JSON_TYPE
         except Exception as exc:  # one bad request never kills the server
             _log.error(
                 "fleet_request_failed",
@@ -108,11 +179,18 @@ class _FleetHandler(BaseHTTPRequestHandler):
                 error_type=type(exc).__name__,
                 error=str(exc),
             )
-            status, payload, content_type = 500, {"error": str(exc)}, JSON_TYPE
-        self._respond(status, payload, content_type)
+            answer = (
+                500, encode_error("internal_error", str(exc), request_id), JSON_TYPE
+            )
+        self._respond(request_id, *answer)
 
     def _respond(
-        self, status: int, payload, content_type: str = JSON_TYPE
+        self,
+        request_id: str,
+        status: int,
+        payload,
+        content_type: str = JSON_TYPE,
+        headers: Optional[dict] = None,
     ) -> None:
         if isinstance(payload, (dict, list)):
             body = json.dumps(payload).encode("utf-8")
@@ -124,9 +202,9 @@ class _FleetHandler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
-            request_id = getattr(self, "_request_id", None)
-            if request_id:
-                self.send_header(REQUEST_ID_HEADER, request_id)
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.send_header(REQUEST_ID_HEADER, request_id)
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
@@ -143,18 +221,34 @@ class _FleetHandler(BaseHTTPRequestHandler):
 
 
 class FleetHTTPServer:
-    """A background-thread HTTP server around one fleet role object.
+    """A background-thread HTTP server around one app object.
 
     ``app.handle(method, path, body, headers)`` returns ``(status,
-    payload, content_type)`` where payload is a JSON-able document or
-    raw bytes.  Port ``0`` binds ephemerally; read ``.url`` after
+    payload, content_type)`` where payload is a JSON-able document, text
+    or raw bytes; an optional fourth element holds extra response
+    headers (``Retry-After``).  The app may set ``max_body_bytes`` (the
+    default is :data:`MAX_BLOB_BYTES`) and ``verbose`` (stdlib access
+    log).  Port ``0`` binds ephemerally; read ``.url`` after
     ``start()``.
+
+    ``stop()`` severs live keep-alive connections, so a stopped fleet
+    role is not a zombie still answering its peers.  ``sever_on_stop=
+    False`` leaves them open instead, so handler threads still write
+    the answers a draining app owes its in-flight requests (the serve
+    front end).
     """
 
-    def __init__(self, app, host: str = "127.0.0.1", port: int = 0) -> None:
+    def __init__(
+        self,
+        app,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        sever_on_stop: bool = True,
+    ) -> None:
         self.app = app
         self.host = host
         self._port = port
+        self._sever_on_stop = sever_on_stop
         self._httpd: Optional[ReuseAddrHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
@@ -171,7 +265,7 @@ class FleetHTTPServer:
     def start(self) -> "FleetHTTPServer":
         if self._httpd is not None:
             return self
-        self._httpd = ReuseAddrHTTPServer((self.host, self._port), _FleetHandler)
+        self._httpd = ReuseAddrHTTPServer((self.host, self._port), _Handler)
         self._httpd.app = self.app  # type: ignore[attr-defined]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
@@ -187,9 +281,8 @@ class FleetHTTPServer:
             return
         self._httpd.shutdown()
         self._httpd.server_close()
-        # Keep-alive peers would otherwise still be answered by live
-        # handler threads — a zombie server, not a stopped one.
-        self._httpd.close_connections()
+        if self._sever_on_stop:
+            self._httpd.close_connections()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
         self._httpd = None

@@ -304,15 +304,19 @@ class ChaosDrill:
         suffix = f"-s{scan_index}" if scan_index else ""
         return self.workdir / f"drill-journal-{role}{suffix}"
 
-    def _wait_healthy(self, url: str, what: str, timeout_s: float = 30.0) -> None:
+    def _wait_healthy(
+        self, url: str, what: str, timeout_s: float = 30.0, replicas: int = 0
+    ) -> None:
+        """Wait for ``/healthz`` to answer 200 (and, on a serve front end,
+        to count at least ``replicas`` registered replicas)."""
         from repro.fleet.protocol import FleetClient, wait_until
 
         def _up() -> bool:
             try:
-                code, _ = FleetClient(url, timeout=1.0).get_json("/healthz")
+                code, document = FleetClient(url, timeout=1.0).get_json("/healthz")
             except Exception:
                 return False
-            return code == 200
+            return code == 200 and document.get("replicas", 0) >= replicas
 
         if not wait_until(_up, timeout_s=timeout_s, interval_s=0.1):
             raise InputError(f"{what} never became healthy at {url}")
@@ -753,8 +757,10 @@ class ServeFleetDrill(ChaosDrill):
         for index in range(self.replicas):
             role = f"replica-{index}"
             self._wait_healthy(self._urls[role], f"serve replica {role}")
-        # The frontend reports healthy only once >= 1 replica registered.
-        self._wait_healthy(frontend_url, "serve frontend")
+        # The frontend reports healthy once one replica registered, but a
+        # replica that found it not yet listening retries only a TTL/3
+        # later; the schedule may kill the registered one, so wait for all.
+        self._wait_healthy(frontend_url, "serve frontend", replicas=self.replicas)
         report.leader = "frontend"
 
     # ------------------------------------------------------------------

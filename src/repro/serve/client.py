@@ -1,9 +1,12 @@
 """``ServeClient`` — the Python client of the serving API.
 
-Wraps :mod:`http.client` (no third-party HTTP stack) and speaks the JSON
-protocol of :mod:`repro.serve.protocol`.  Domain-level helpers accept
-and return :class:`~repro.layout.clip.Clip` / numpy objects, so tests
-and benchmarks can round-trip through the wire format without manual
+Sends through :class:`~repro.fleet.protocol.FleetClient`, the fleet's
+HTTP client (no third-party HTTP stack), and speaks the JSON protocol of
+:mod:`repro.serve.protocol`.  Transport failures raise
+:class:`~repro.errors.TransientError`, as they do for every fleet peer.
+Domain-level helpers accept and return
+:class:`~repro.layout.clip.Clip` / numpy objects, so tests and
+benchmarks can round-trip through the wire format without manual
 encoding::
 
     client = ServeClient("http://127.0.0.1:8976")
@@ -15,9 +18,7 @@ encoding::
 
 from __future__ import annotations
 
-import http.client
 import json
-import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -26,8 +27,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.errors import ServeError
+from repro.fleet.protocol import FleetClient
 from repro.geometry.rect import Rect
 from repro.layout.clip import Clip
+from repro.obs import REQUEST_ID_HEADER
 from repro.resilience.retry import RetryPolicy
 from repro.serve.protocol import encode_clip, encode_rect
 
@@ -87,13 +90,9 @@ class ServeClient:
         parsed = urllib.parse.urlsplit(url)
         if parsed.scheme not in ("http", ""):
             raise ServeError(f"unsupported scheme {parsed.scheme!r}")
-        netloc = parsed.netloc or parsed.path
-        if ":" not in netloc:
+        if ":" not in (parsed.netloc or parsed.path):
             raise ServeError(f"client URL needs host:port, got {url!r}")
-        host, port = netloc.rsplit(":", 1)
-        self.host = host
-        self.port = int(port)
-        self.timeout = timeout
+        self._transport = FleetClient(url, timeout=timeout)
         #: Extra attempts on 429/503 for idempotent requests; the
         #: server's ``Retry-After`` wins over the local backoff schedule.
         self.retries = retries
@@ -101,25 +100,12 @@ class ServeClient:
             attempts=retries + 1, base_delay_s=0.05, max_delay_s=1.0
         )
         self._sleep = sleep
-        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            self._local.conn = conn
-        return conn
-
     def close(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+        self._transport.close()
 
     def _request(
         self,
@@ -129,22 +115,13 @@ class ServeClient:
         request_id: Optional[str] = None,
     ) -> tuple[int, object, str, dict]:
         body = None if document is None else json.dumps(document).encode("utf-8")
-        headers = {"Content-Type": "application/json"} if body else {}
-        if request_id is not None:
-            headers["X-Request-Id"] = request_id
-        for attempt in (0, 1):
-            conn = self._connection()
-            try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                payload = response.read()
-                break
-            except (http.client.HTTPException, ConnectionError, OSError):
-                # Stale keep-alive connection: retry once on a fresh socket.
-                self.close()
-                if attempt:
-                    raise
-        content_type = response.headers.get("Content-Type", "")
+        status, payload, headers = self._transport.request_full(
+            method,
+            path,
+            body,
+            headers=None if request_id is None else {REQUEST_ID_HEADER: request_id},
+        )
+        content_type = headers.get("Content-Type", "")
         if content_type.startswith("application/json"):
             try:
                 decoded: object = json.loads(payload)
@@ -152,7 +129,7 @@ class ServeClient:
                 raise ServeError(f"invalid JSON from server: {exc}") from exc
         else:
             decoded = payload.decode("utf-8", "replace")
-        return response.status, decoded, content_type, dict(response.headers)
+        return status, decoded, content_type, headers
 
     def _request_ok(
         self,

@@ -1,7 +1,10 @@
-"""Stdlib-only HTTP front end for the serving facade.
+"""The HTTP front end of the serving facade.
 
-:class:`HotspotServer` wraps a :class:`~repro.serve.service.ServeService`
-in a ``ThreadingHTTPServer``.  Endpoints:
+:class:`HotspotServer` routes requests into a
+:class:`~repro.serve.service.ServeService` and runs as one more app on
+the fleet's HTTP stack (:class:`~repro.fleet.protocol.FleetHTTPServer`),
+so it shares its handler, request-id echo and body limit with every
+fleet role.  Endpoints:
 
 - ``POST /v1/predict`` — batched clip prediction;
 - ``POST /v1/scan``    — full-layout detection;
@@ -9,25 +12,23 @@ in a ``ThreadingHTTPServer``.  Endpoints:
 - ``GET  /healthz``    — liveness/readiness (``503`` when no model);
 - ``GET  /metrics``    — Prometheus text metrics.
 
-Error mapping: malformed payload -> ``400``; unknown model -> ``404``;
-queue full (backpressure) -> ``429``; open circuit breaker or draining
--> ``503``; request timeout -> ``504``.  ``429``/``503`` responses carry
-a ``Retry-After`` header so well-behaved clients back off.  Every error
+Error mapping: malformed payload -> ``400``; unknown model or route ->
+``404``; body over :data:`MAX_BODY_BYTES` -> ``413``; queue full
+(backpressure) -> ``429``; open circuit breaker or draining -> ``503``;
+request timeout -> ``504``.  ``429``/``503`` responses carry a
+``Retry-After`` header so well-behaved clients back off.  Every error
 body is the structured JSON envelope ``{"error": {"code", "message"}}``.
 
-Shutdown is graceful: ``stop()`` (also installed as the SIGTERM/SIGINT
-handler by the CLI) stops accepting connections, then drains the
-batching queue so every in-flight request gets its response.
+Shutdown is graceful: ``stop()`` (run by the CLI on SIGTERM/SIGINT)
+stops accepting connections, then drains the batching queue so every
+in-flight request gets its response.
 """
 
 from __future__ import annotations
 
 import json
-import socket
-import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from repro.errors import (
@@ -39,60 +40,18 @@ from repro.errors import (
     ServeError,
     ServerClosedError,
 )
-from repro.obs import get_logger, new_request_id
-from repro.serve.protocol import ProtocolError, encode_error
+from repro.fleet.protocol import (
+    JSON_TYPE,
+    METRICS_TEXT_TYPE,
+    FleetHTTPServer,
+    encode_error,
+)
+from repro.obs import current_request_id, get_logger
+from repro.serve.protocol import ProtocolError
 from repro.serve.service import ServeService
 
-#: Request bodies above this size are rejected up front (64 MiB).
+#: Request bodies above this are refused unread with ``413`` (64 MiB).
 MAX_BODY_BYTES = 64 * 1024 * 1024
-
-
-class ReuseAddrHTTPServer(ThreadingHTTPServer):
-    """Threaded HTTP server that rebinds cleanly and reports its port.
-
-    ``SO_REUSEADDR`` lets tests (and the fleet's many localhost servers)
-    rebind an address still in ``TIME_WAIT`` without races; binding port
-    ``0`` picks an ephemeral port whose real value is reflected back into
-    ``server_address`` by the stdlib after ``server_bind``.  Handler
-    threads are daemonic so a hung connection never blocks interpreter
-    exit.  Fleet servers (:mod:`repro.fleet.protocol`) reuse this class
-    for the same bind semantics as the serve front end.
-
-    Open connections are tracked so :meth:`close_connections` can sever
-    live HTTP/1.1 keep-alive peers: ``server_close()`` only closes the
-    *listening* socket, and a "stopped" server whose handler threads
-    keep answering persistent connections is a zombie — the exact
-    split-brain failure the fleet's leader-epoch fence exists for.
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._open_connections: set = set()
-        self._connections_lock = threading.Lock()
-
-    def process_request(self, request, client_address):
-        with self._connections_lock:
-            self._open_connections.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request):
-        with self._connections_lock:
-            self._open_connections.discard(request)
-        super().shutdown_request(request)
-
-    def close_connections(self) -> None:
-        """Sever every live keep-alive connection (called on stop)."""
-        with self._connections_lock:
-            connections = list(self._open_connections)
-            self._open_connections.clear()
-        for request in connections:
-            try:
-                request.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # already closing on its own
 
 
 @dataclass(frozen=True)
@@ -131,165 +90,20 @@ def _error_status(exc: BaseException) -> tuple[int, str, Optional[float]]:
     return 500, "internal_error", None
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests into the owning server's service object."""
-
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-serve"
-
-    #: Correlation id of the in-flight request (header or generated);
-    #: echoed on every response and threaded into the batcher.
-    _request_id: Optional[str] = None
-
-    # Populated by HotspotServer via the server instance.
-    @property
-    def service(self) -> ServeService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
-        if self.server.verbose:  # type: ignore[attr-defined]
-            super().log_message(format, *args)
-
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    def _send_json(
-        self,
-        status: int,
-        document: dict,
-        retry_after: Optional[float] = None,
-    ) -> None:
-        body = json.dumps(document).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            # Integral seconds per RFC 9110; never advertise zero.
-            self.send_header("Retry-After", str(max(1, round(retry_after))))
-        if self._request_id:
-            self.send_header("X-Request-Id", self._request_id)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self._request_id:
-            self.send_header("X-Request-Id", self._request_id)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json_body(self) -> object:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
-            raise ProtocolError("request requires a JSON body")
-        if length > MAX_BODY_BYTES:
-            raise ProtocolError(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw)
-        except ValueError as exc:
-            raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
-
-    def _handle(self, endpoint: str, fn) -> None:
-        started = time.perf_counter()
-        status = 500
-        self._request_id = (
-            self.headers.get("X-Request-Id", "").strip() or new_request_id()
-        )
-        try:
-            status, payload, content_type = fn()
-            if content_type == "application/json":
-                self._send_json(status, payload)
-            else:
-                self._send_text(status, payload, content_type)
-        except Exception as exc:  # mapped to HTTP codes
-            status, code, retry_after = _error_status(exc)
-            if status >= 500:
-                get_logger("serve.httpd").error(
-                    "request_failed",
-                    endpoint=endpoint,
-                    code=code,
-                    error_type=type(exc).__name__,
-                    error=str(exc),
-                    request_id=self._request_id,
-                )
-            try:
-                self._send_json(
-                    status,
-                    encode_error(code, str(exc), request_id=self._request_id),
-                    retry_after=retry_after,
-                )
-            except (BrokenPipeError, ConnectionResetError):
-                pass
-        finally:
-            self.service.record_request(
-                endpoint,
-                status,
-                time.perf_counter() - started,
-                request_id=self._request_id,
-            )
-
-    # ------------------------------------------------------------------
-    # routes
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 — stdlib naming
-        path = self.path.split("?", 1)[0]
-        if path == "/healthz":
-            def health():
-                healthy, document = self.service.health()
-                return (200 if healthy else 503), document, "application/json"
-
-            self._handle("/healthz", health)
-        elif path == "/metrics":
-            self._handle(
-                "/metrics",
-                lambda: (
-                    200,
-                    self.service.metrics_text(),
-                    "text/plain; version=0.0.4",
-                ),
-            )
-        elif path == "/v1/models":
-            self._handle(
-                "/v1/models",
-                lambda: (200, self.service.models_document(), "application/json"),
-            )
-        else:
-            self._send_json(404, encode_error("not_found", f"no route {path!r}"))
-
-    def do_POST(self) -> None:  # noqa: N802 — stdlib naming
-        path = self.path.split("?", 1)[0]
-        if path == "/v1/predict":
-            self._handle(
-                "/v1/predict",
-                lambda: (
-                    200,
-                    self.service.predict_payload(
-                        self._read_json_body(), request_id=self._request_id
-                    ),
-                    "application/json",
-                ),
-            )
-        elif path == "/v1/scan":
-            self._handle(
-                "/v1/scan",
-                lambda: (
-                    200,
-                    self.service.scan_payload(
-                        self._read_json_body(), request_id=self._request_id
-                    ),
-                    "application/json",
-                ),
-            )
-        else:
-            self._send_json(404, encode_error("not_found", f"no route {path!r}"))
+def _json_body(body: bytes) -> object:
+    if not body:
+        raise ProtocolError("request requires a JSON body")
+    try:
+        return json.loads(body)
+    except ValueError as exc:
+        raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
 
 
 class HotspotServer:
     """A running (or startable) HTTP inference server."""
+
+    #: Read by the HTTP handler: larger bodies are refused unread.
+    max_body_bytes = MAX_BODY_BYTES
 
     def __init__(
         self,
@@ -299,17 +113,89 @@ class HotspotServer:
     ) -> None:
         self.service = service
         self.config = config or ServerConfig()
+        #: Read by the HTTP handler: write the stdlib access log.
         self.verbose = verbose
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stopped = threading.Event()
+        self._http: Optional[FleetHTTPServer] = None
 
+    # ------------------------------------------------------------------
+    # routes
+    # ------------------------------------------------------------------
+    def _health(self, body: bytes, request_id: str) -> tuple:
+        healthy, document = self.service.health()
+        return (200 if healthy else 503), document, JSON_TYPE
+
+    def _metrics(self, body: bytes, request_id: str) -> tuple:
+        return 200, self.service.metrics_text(), METRICS_TEXT_TYPE
+
+    def _models(self, body: bytes, request_id: str) -> tuple:
+        return 200, self.service.models_document(), JSON_TYPE
+
+    def _predict(self, body: bytes, request_id: str) -> tuple:
+        document = self.service.predict_payload(
+            _json_body(body), request_id=request_id
+        )
+        return 200, document, JSON_TYPE
+
+    def _scan(self, body: bytes, request_id: str) -> tuple:
+        document = self.service.scan_payload(_json_body(body), request_id=request_id)
+        return 200, document, JSON_TYPE
+
+    _ROUTES = {
+        ("GET", "/healthz"): _health,
+        ("GET", "/metrics"): _metrics,
+        ("GET", "/v1/models"): _models,
+        ("POST", "/v1/predict"): _predict,
+        ("POST", "/v1/scan"): _scan,
+    }
+
+    def handle(self, method: str, path: str, body: bytes, headers) -> tuple:
+        """Answer one request: ``(status, payload, content_type[, headers])``."""
+        path = path.split("?", 1)[0]
+        # The handler binds the request's own id (sent or minted).
+        request_id = current_request_id()
+        route = self._ROUTES.get((method, path))
+        if route is None:
+            return (
+                404,
+                encode_error("not_found", f"no route {path!r}", request_id),
+                JSON_TYPE,
+            )
+        started = time.perf_counter()
+        status = 500
+        try:
+            status, payload, content_type = route(self, body, request_id)
+            return status, payload, content_type
+        except Exception as exc:  # mapped to HTTP codes
+            status, code, retry_after = _error_status(exc)
+            if status >= 500:
+                get_logger("serve.httpd").error(
+                    "request_failed",
+                    endpoint=path,
+                    code=code,
+                    error_type=type(exc).__name__,
+                    error=str(exc),
+                    request_id=request_id,
+                )
+            # Integral seconds per RFC 9110; never advertise zero.
+            extra = (
+                {}
+                if retry_after is None
+                else {"Retry-After": str(max(1, round(retry_after)))}
+            )
+            return status, encode_error(code, str(exc), request_id), JSON_TYPE, extra
+        finally:
+            self.service.record_request(
+                path, status, time.perf_counter() - started, request_id=request_id
+            )
+
+    # ------------------------------------------------------------------
+    # lifecycle
     # ------------------------------------------------------------------
     @property
     def port(self) -> int:
-        if self._httpd is None:
+        if self._http is None:
             raise ServeError("server not started")
-        return self._httpd.server_address[1]
+        return self._http.port
 
     @property
     def url(self) -> str:
@@ -317,45 +203,24 @@ class HotspotServer:
 
     def start(self) -> "HotspotServer":
         """Bind the socket and serve on a background thread."""
-        if self._httpd is not None:
+        if self._http is not None:
             return self
         self.service.start()
-        self._httpd = ReuseAddrHTTPServer(
-            (self.config.host, self.config.port), _Handler
-        )
-        self._httpd.service = self.service  # type: ignore[attr-defined]
-        self._httpd.verbose = self.verbose  # type: ignore[attr-defined]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-serve-http",
-            daemon=True,
-        )
-        self._thread.start()
-        self._stopped.clear()
+        # Stopping leaves live connections open: handler threads may
+        # still be writing drained responses, and graceful shutdown
+        # promises every in-flight request its answer.
+        self._http = FleetHTTPServer(
+            self, self.config.host, self.config.port, sever_on_stop=False
+        ).start()
         return self
 
     def stop(self, drain: bool = True) -> None:
         """Graceful shutdown: close the listener, drain the queue."""
-        if self._httpd is None:
+        if self._http is None:
             return
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
+        self._http.stop()
         self.service.close(drain=drain)
-        # NOTE: live connections are deliberately NOT severed here —
-        # handler threads may still be writing drained responses, and
-        # graceful shutdown promises every in-flight request its
-        # answer.  Fleet servers (whose stop() means *death*) sever
-        # theirs via close_connections().
-        self._httpd = None
-        self._thread = None
-        self._stopped.set()
-
-    def wait(self) -> None:
-        """Block the calling thread until :meth:`stop` completes."""
-        self._stopped.wait()
+        self._http = None
 
     # Context-manager sugar for tests and the benchmark.
     def __enter__(self) -> "HotspotServer":

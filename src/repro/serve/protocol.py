@@ -215,15 +215,3 @@ def encode_scan_response(model: str, report, request_id: Optional[str] = None) -
         document["request_id"] = request_id
     return document
 
-
-# ----------------------------------------------------------------------
-# errors
-# ----------------------------------------------------------------------
-
-
-def encode_error(code: str, message: str, request_id: Optional[str] = None) -> dict:
-    """The structured error envelope every non-2xx response carries."""
-    document: dict = {"error": {"code": code, "message": message}}
-    if request_id is not None:
-        document["request_id"] = request_id
-    return document

@@ -3,9 +3,10 @@
 :class:`ServeService` owns the model registry, the micro-batcher and the
 metrics registry, and implements the four operations the HTTP layer (or
 an embedding application) exposes: ``predict``, ``scan``, ``health`` and
-``metrics_text``.  The HTTP front end in :mod:`repro.serve.httpd` is a
-thin shell over this class, so tests and benchmarks can drive the
-service in-process, with or without sockets.
+``metrics_text``.  :class:`~repro.serve.httpd.HotspotServer` routes
+HTTP requests into this class and maps its errors to statuses; it runs
+on the fleet's HTTP server (:mod:`repro.fleet.protocol`).  Tests and
+benchmarks can drive the service in-process, with or without sockets.
 
 Batched evaluation semantics match
 :meth:`~repro.core.detector.HotspotDetector.predict_clips` exactly: the

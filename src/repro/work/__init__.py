@@ -4,8 +4,7 @@ Two layers:
 
 - :mod:`repro.work.pool` — :class:`SupervisedPool`, a generic
   ``multiprocessing`` worker pool with heartbeats, hung-task kill,
-  crash retry, poison-task bisection, worker recycling and graceful
-  drain;
+  crash retry, poison-task bisection and graceful drain;
 - :mod:`repro.work.shard` — the scan driver behind every
   ``HotspotDetector.detect``.  Its :class:`~repro.work.shard.ShardPlan`
   buckets a layout's candidate anchors into shards, journals completed

@@ -6,9 +6,8 @@ pathological clip takes a whole multi-hour scan down with it.
 an actively supervising parent instead:
 
 - **Heartbeats** — each worker runs a daemon thread that reports
-  liveness (and its RSS) every ``heartbeat_interval_s``; a worker that
-  goes silent past ``heartbeat_timeout_s`` is presumed wedged and
-  killed.
+  liveness every ``heartbeat_interval_s``; a worker that goes silent
+  past ``heartbeat_timeout_s`` is presumed wedged and killed.
 - **Hung-task kill** — every dispatched task gets a
   :class:`~repro.resilience.retry.Deadline`; on expiry the worker is
   SIGKILLed and the task handled like a crash
@@ -21,9 +20,6 @@ an actively supervising parent instead:
   caller's ``split`` callback until the offending unit is isolated; the
   atomic survivor is reported through ``on_poison`` (the sharded scan
   routes it into the run's quarantine) instead of failing the run.
-- **Worker recycling** — workers retire after ``max_tasks_per_worker``
-  tasks or once their RSS passes ``max_worker_rss_mb`` (leak hygiene on
-  week-long scans); recycling happens between tasks, never mid-task.
 - **Graceful drain** — a ``stop_event`` (wired to SIGTERM by the CLI)
   stops dispatch, lets in-flight tasks finish and journals their
   results, so an interrupted scan resumes instead of restarting.
@@ -70,20 +66,14 @@ from repro.resilience.retry import Deadline
 
 _log = get_logger("work.pool")
 
+#: Seconds to wait for workers to exit on graceful stop.
+_DRAIN_TIMEOUT_S = 5.0
+#: Supervisor poll tick; bounds detection latency, not throughput.
+_TICK_S = 0.05
+
 
 def _start_method() -> str:
     return "fork" if "fork" in get_all_start_methods() else "spawn"
-
-
-def _rss_mb() -> float:
-    """Peak RSS of the calling process in MiB (0.0 when unavailable)."""
-    try:
-        import resource
-
-        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    except (ImportError, OSError):  # pragma: no cover — non-POSIX
-        return 0.0
-    return rss_kb / 1024.0
 
 
 @dataclass(frozen=True)
@@ -98,14 +88,6 @@ class PoolConfig:
     heartbeat_timeout_s: float = 10.0
     #: Crash/hang/error retries per task before splitting or poisoning.
     task_retries: int = 1
-    #: Retire a worker after this many tasks (``None`` = never).
-    max_tasks_per_worker: Optional[int] = None
-    #: Retire a worker whose peak RSS passes this (``None`` = never).
-    max_worker_rss_mb: Optional[float] = None
-    #: Seconds to wait for workers to exit on graceful stop.
-    drain_timeout_s: float = 5.0
-    #: Supervisor poll tick; bounds detection latency, not throughput.
-    tick_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -141,24 +123,10 @@ class PoolStats:
     task_errors: int = 0
     task_retries: int = 0
     worker_restarts: int = 0
-    worker_recycles: int = 0
     bisections: int = 0
     poison_tasks: int = 0
     drained: bool = False
     wall_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "tasks_ok": self.tasks_ok,
-            "task_errors": self.task_errors,
-            "task_retries": self.task_retries,
-            "worker_restarts": self.worker_restarts,
-            "worker_recycles": self.worker_recycles,
-            "bisections": self.bisections,
-            "poison_tasks": self.poison_tasks,
-            "drained": self.drained,
-            "wall_s": round(self.wall_s, 6),
-        }
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +172,7 @@ def _worker_main(conn, worker_index, init_fn, init_args, heartbeat_interval_s):
                 faults.inject("work.heartbeat", worker=worker_index)
             except ReproError:
                 return  # injected fault silences the worker on purpose
-            if not _send(("heartbeat", _rss_mb())):
+            if not _send(("heartbeat",)):
                 return
             stop.wait(heartbeat_interval_s)
 
@@ -214,7 +182,7 @@ def _worker_main(conn, worker_index, init_fn, init_args, heartbeat_interval_s):
         _send(("init_error", type(exc).__name__, str(exc)))
         return
     threading.Thread(target=_heartbeats, daemon=True).start()
-    _send(("ready", _rss_mb()))
+    _send(("ready",))
 
     while True:
         try:
@@ -258,8 +226,6 @@ class _Worker:
         "deadline",
         "dispatched_at",
         "last_heartbeat",
-        "tasks_done",
-        "rss_mb",
         "ready",
         "dead",
     )
@@ -273,8 +239,6 @@ class _Worker:
         self.deadline: Optional[Deadline] = None
         self.dispatched_at = 0.0
         self.last_heartbeat = time.monotonic()
-        self.tasks_done = 0
-        self.rss_mb = 0.0
         self.ready = False
         self.dead = False
 
@@ -353,7 +317,7 @@ class SupervisedPool:
                 worker.conn.send(("stop",))
             except (BrokenPipeError, OSError):
                 pass
-        deadline = time.monotonic() + self.config.drain_timeout_s
+        deadline = time.monotonic() + _DRAIN_TIMEOUT_S
         for worker in workers:
             if worker.dead:
                 continue
@@ -466,12 +430,10 @@ class SupervisedPool:
             kind = message[0]
             worker.last_heartbeat = time.monotonic()
             if kind == "heartbeat":
-                worker.rss_mb = max(worker.rss_mb, float(message[1]))
                 return
             if kind == "ready":
                 worker.ready = True
                 init_failures = 0
-                worker.rss_mb = max(worker.rss_mb, float(message[1]))
                 return
             if kind == "init_error":
                 # The worker could not build its state; treat like a crash
@@ -500,7 +462,6 @@ class SupervisedPool:
                 # A result for a task this worker no longer owns (it was
                 # killed and the task reassigned); drop it.
                 return
-            worker.tasks_done += 1
             if kind == "ok":
                 _, _, result, wall_s = message
                 worker.task = None
@@ -570,19 +531,6 @@ class SupervisedPool:
                     crashed=True,
                 )
 
-        def recycle_due(worker: _Worker) -> bool:
-            if worker.task is not None:
-                return False
-            if (
-                config.max_tasks_per_worker is not None
-                and worker.tasks_done >= config.max_tasks_per_worker
-            ):
-                return True
-            return (
-                config.max_worker_rss_mb is not None
-                and worker.rss_mb > config.max_worker_rss_mb
-            )
-
         injector = faults.get()
 
         def dispatch(worker: _Worker, task: PoolTask) -> None:
@@ -621,13 +569,6 @@ class SupervisedPool:
                             workers[slot] = worker = self._spawn(worker.index)
                         else:
                             continue
-                    if recycle_due(worker):
-                        stats.worker_recycles += 1
-                        _log.info("worker_recycled", worker=worker.name,
-                                  tasks=worker.tasks_done,
-                                  rss_mb=round(worker.rss_mb, 1))
-                        self._stop_gracefully([worker])
-                        workers[slot] = worker = self._spawn(worker.index)
                     if worker.task is None:
                         dispatch(worker, queue.popleft())
 
@@ -644,7 +585,7 @@ class SupervisedPool:
                 if queue and not draining():
                     continue  # all workers died; respawn at loop top
                 break
-            connection_wait(sentinels, timeout=self.config.tick_s)
+            connection_wait(sentinels, timeout=_TICK_S)
 
             for worker in workers:
                 if worker.dead:

@@ -57,7 +57,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from hashlib import sha256
 from io import BytesIO
 from pathlib import Path
@@ -114,8 +114,6 @@ class ScanOptions:
     #: Reuse every journaled shard whose key (grid-cell origin plus
     #: influence-region geometry hash) is in this run's shard plan.
     resume: bool = False
-    #: Supervision overrides; ``workers`` above wins over ``pool.workers``.
-    pool: Optional[PoolConfig] = None
     #: Set (e.g. from a SIGTERM handler) to drain: in-flight shards
     #: finish and journal, then the scan raises ``ScanDrainedError``.
     stop_event: Optional[threading.Event] = None
@@ -781,7 +779,7 @@ def run_sharded_scan(
             # Every shard may come from the journal (a fully-unchanged
             # incremental rescan): then there is nothing to fork for.
             pool = SupervisedPool(
-                replace(options.pool or PoolConfig(), workers=options.workers),
+                PoolConfig(workers=options.workers),
                 init_fn=_scan_worker_init,
                 init_args=(
                     config, model, feedback, layout, layer,

@@ -632,6 +632,27 @@ class TestBackpressureAndShutdown:
             release.set()
             server.stop()
 
+    def test_queue_full_429_carries_retry_after_on_the_wire(
+        self, model_file, small_benchmark
+    ):
+        from repro.serve.protocol import encode_clip
+
+        # A request larger than the whole queue is refused at admission.
+        service = ServeService(
+            batching=BatchingConfig(max_batch_clips=1, max_queue_clips=1)
+        )
+        service.load_model(model_file)
+        clips = small_benchmark.training.hotspots()[:2]
+        with HotspotServer(service, ServerConfig(port=0)) as server:
+            status, decoded, _, headers = ServeClient(server.url)._request(
+                "POST",
+                "/v1/predict",
+                {"clips": [encode_clip(clip) for clip in clips]},
+            )
+        assert status == 429
+        assert decoded["error"]["code"] == "queue_full"
+        assert headers["Retry-After"] == "1"
+
     def test_request_timeout_yields_504(self, model_file, small_benchmark):
         server, release, _entered = self._blocked_server(
             model_file, max_delay_s=0.0, workers=1, default_timeout_s=0.15

@@ -196,14 +196,6 @@ class TestSupervisedPool:
         assert stats.poison_tasks == 1
         assert isinstance(poisons[0], WorkerCrashError)
 
-    def test_worker_recycled_after_max_tasks(self):
-        pool = SupervisedPool(PoolConfig(workers=2, max_tasks_per_worker=1))
-        stats = pool.run(
-            [PoolTask(task_id=str(i), fn=_echo, payload=i) for i in range(4)]
-        )
-        assert stats.tasks_ok == 4
-        assert stats.worker_recycles >= 2
-
     def test_stop_event_drains_gracefully(self):
         stop = threading.Event()
         results = []
