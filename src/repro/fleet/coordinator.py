@@ -56,6 +56,7 @@ from repro.fleet.protocol import (
     JSON_TYPE,
     METRICS_TEXT_TYPE,
     FleetHTTPServer,
+    json_body,
     metrics_routes,
 )
 from repro.obs import MetricsAggregator, get_logger, new_request_id, trace
@@ -593,12 +594,12 @@ class FleetCoordinator:
                 JSON_TYPE,
             )
         if method == "POST" and path == "/fleet/v1/trace":
-            document = _json_body(body)
+            document = json_body(body)
             with self._lock:
                 self._trace_docs.append(document)
             return 200, {"status": "ok"}, JSON_TYPE
         if method == "POST" and path == "/fleet/v1/lease":
-            document = _json_body(body)
+            document = json_body(body)
             fenced = self._fence_epoch(document.get("epoch"), "lease")
             if fenced is not None:
                 return fenced
@@ -632,7 +633,7 @@ class FleetCoordinator:
             answer["cache_urls"] = list(self.options.cache_urls)
             return 200, answer, JSON_TYPE
         if method == "POST" and path == "/fleet/v1/cache-join":
-            document = _json_body(body)
+            document = json_body(body)
             url = str(document.get("url", "")).strip()
             if not url:
                 return 400, {"error": "cache-join needs a url"}, JSON_TYPE
@@ -646,7 +647,7 @@ class FleetCoordinator:
                 JSON_TYPE,
             )
         if method == "POST" and path == "/fleet/v1/heartbeat":
-            document = _json_body(body)
+            document = json_body(body)
             fenced = self._fence_epoch(document.get("epoch"), "heartbeat")
             if fenced is not None:
                 return fenced
@@ -957,13 +958,3 @@ def _merged_cache_stats(reports) -> dict:
     if nodes:
         totals["nodes"] = nodes
     return totals
-
-
-def _json_body(body: bytes) -> dict:
-    try:
-        document = json.loads(body or b"{}")
-    except ValueError as exc:
-        raise FleetProtocolError(f"request body is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise FleetProtocolError("request body must be a JSON object")
-    return document

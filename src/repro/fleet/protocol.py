@@ -411,6 +411,22 @@ class FleetClient:
         return status, payload
 
 
+def json_body(body: bytes) -> dict:
+    """A request's JSON object body (``{}`` when empty).
+
+    A body that is not JSON, or not an object, raises
+    :class:`~repro.errors.FleetProtocolError`, which the shared handler
+    answers ``400 bad_request``.
+    """
+    try:
+        document = json.loads(body or b"{}")
+    except ValueError as exc:
+        raise FleetProtocolError(f"request body is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise FleetProtocolError("request body must be a JSON object")
+    return document
+
+
 def _decode_json(payload: bytes) -> dict:
     if not payload:
         return {}

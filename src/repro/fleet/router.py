@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import threading
 import time
 from hashlib import sha256
@@ -27,7 +26,7 @@ from typing import Optional, Sequence
 
 from repro.errors import FleetError, TransientError
 from repro.fleet.membership import MemberTable
-from repro.fleet.protocol import JSON_TYPE, FleetClient, metrics_routes
+from repro.fleet.protocol import JSON_TYPE, FleetClient, json_body, metrics_routes
 from repro.obs import REQUEST_ID_HEADER, current_request_id, get_logger
 from repro.serve.metrics import MetricsRegistry
 
@@ -177,7 +176,7 @@ class FleetFrontend:
         if routed is not None:
             return routed
         if method == "POST" and path == "/fleet/v1/register":
-            document = json.loads(body or b"{}")
+            document = json_body(body)
             member = self.members.register(
                 name=str(document.get("name", "")),
                 url=str(document.get("url", "")),
@@ -190,7 +189,7 @@ class FleetFrontend:
             )
             return 200, {"status": "ok", "ttl_s": self.members.ttl_s}, JSON_TYPE
         if method == "POST" and path == "/fleet/v1/heartbeat":
-            document = json.loads(body or b"{}")
+            document = json_body(body)
             known = self.members.heartbeat(
                 str(document.get("name", "")), document.get("version")
             )

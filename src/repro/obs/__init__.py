@@ -27,6 +27,7 @@ from .manifest import (
     fingerprint_clipset,
     fingerprint_layout,
     fingerprint_rects,
+    fingerprint_rows,
     new_request_id,
     new_run_id,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "fingerprint_clipset",
     "fingerprint_layout",
     "fingerprint_rects",
+    "fingerprint_rows",
     "get_logger",
     "get_tracer",
     "log_context",

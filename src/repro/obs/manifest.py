@@ -61,15 +61,16 @@ def fingerprint_rects(rects: Iterable) -> str:
     costs a recompute, never a wrong reuse), but it silently turns every
     existing journal into a cold scan — bump deliberately.
     """
-    digest = sha256()
-    count = 0
-    for rect in rects:
-        digest.update(
-            f"{int(rect.x0)},{int(rect.y0)},{int(rect.x1)},{int(rect.y1)};".encode()
-        )
-        count += 1
-    digest.update(f"n={count}".encode())
-    return digest.hexdigest()
+    return fingerprint_rows([v for r in rects for v in (r.x0, r.y0, r.x1, r.y1)])
+
+
+def fingerprint_rows(rows) -> str:
+    """:func:`fingerprint_rects` of rects given as a flat sequence of
+    integers, four per rect (as :func:`repro.cache.keys.rows_text`
+    renders them)."""
+    from repro.cache.keys import rows_text
+
+    return sha256(f"{rows_text(rows)}n={len(rows) // 4}".encode()).hexdigest()
 
 
 def fingerprint_clipset(clips: Iterable) -> dict:

@@ -214,6 +214,8 @@ class DrillReport:
 
 
 def _free_port() -> int:
+    """A port the OS calls free now; it closes the probe, so it may offer
+    the same port again before a role binds it."""
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         return probe.getsockname()[1]
@@ -258,6 +260,18 @@ class ChaosDrill:
         self._urls: dict[str, str] = {}
         self._cache_urls: list[str] = []
         self._endpoints: list[str] = []
+        #: Every port this drill has handed to a role.
+        self._ports: set[int] = set()
+
+    def _port(self) -> int:
+        """A free port no role of this drill was handed before: each
+        role binds its port only once its process starts, so a probe may
+        draw a port already handed out."""
+        port = _free_port()
+        while port in self._ports:
+            port = _free_port()
+        self._ports.add(port)
+        return port
 
     # ------------------------------------------------------------------
     def run(self) -> DrillReport:
@@ -322,7 +336,7 @@ class ChaosDrill:
             raise InputError(f"{what} never became healthy at {url}")
 
     def _spawn_cache(self, role: str, join: bool) -> str:
-        port = _free_port()
+        port = self._port()
         url = f"http://127.0.0.1:{port}"
         args = ["fleet-cache", "--port", str(port)]
         if join and self._endpoints:
@@ -363,7 +377,7 @@ class ChaosDrill:
 
     def _launch(self, report: DrillReport, scan_index: int = 0) -> None:
         self.workdir.mkdir(parents=True, exist_ok=True)
-        ports = {"primary": _free_port(), "standby": _free_port()}
+        ports = {"primary": self._port(), "standby": self._port()}
         suffix = f"-s{scan_index}" if scan_index else ""
         self._urls["primary"] = f"http://127.0.0.1:{ports['primary']}"
         coordinator_args = [
@@ -736,13 +750,13 @@ class ServeFleetDrill(ChaosDrill):
     # ------------------------------------------------------------------
     def _launch_serve(self, report: DrillReport) -> None:
         self.workdir.mkdir(parents=True, exist_ok=True)
-        port = _free_port()
+        port = self._port()
         frontend_url = f"http://127.0.0.1:{port}"
         self._urls["frontend"] = frontend_url
         self._spawn("frontend", ["fleet-frontend", "--port", str(port)], "frontend")
         for index in range(self.replicas):
             role = f"replica-{index}"
-            replica_port = _free_port()
+            replica_port = self._port()
             self._urls[role] = f"http://127.0.0.1:{replica_port}"
             self._spawn(
                 role,

@@ -517,3 +517,21 @@ class TestDrillDsl:
 
         with pytest.raises(InputError):
             DrillSchedule.parse("at 1 add worker-0")
+
+
+class TestDrillPorts:
+    def test_a_repeated_probe_port_is_drawn_again(self, tmp_path, monkeypatch):
+        """The probe closes its socket before a role binds the port, so
+        the OS may offer one port twice; the drill hands it out once."""
+        from repro.resilience import drill as drill_module
+
+        drawn = iter([8101, 8101, 8102, 8101, 8102, 8103])
+        monkeypatch.setattr(drill_module, "_free_port", lambda: next(drawn))
+        drill = drill_module.ServeFleetDrill(
+            tmp_path / "model.npz",
+            tmp_path / "layout.gds",
+            DrillSchedule.parse(""),
+            workdir=tmp_path,
+        )
+        assert [drill._port() for _ in range(3)] == [8101, 8102, 8103]
+        assert next(drawn, None) is None

@@ -12,6 +12,7 @@ never decoded).
 from __future__ import annotations
 
 import copy
+import json
 import os
 import subprocess
 import sys
@@ -708,6 +709,19 @@ class TestFrontend:
                 "/fleet/v1/heartbeat", {"name": "ghost"}
             )
         assert status == 404
+
+    @pytest.mark.parametrize("path", ["/fleet/v1/register", "/fleet/v1/heartbeat"])
+    @pytest.mark.parametrize("body", [b"not json", b"[]"])
+    def test_malformed_membership_body_is_400(self, path, body):
+        """A body that is not a JSON object is the caller's error, not
+        the front end's (it was answered 500 internal_error)."""
+        members = MemberTable()
+        frontend = FleetFrontend(members)
+        with FleetHTTPServer(frontend) as front:
+            status, payload, _ = FleetClient(front.url).request("POST", path, body)
+        assert status == 400
+        assert json.loads(payload)["error"]["code"] == "bad_request"
+        assert members.members() == []
 
 
 # ----------------------------------------------------------------------
