@@ -1251,6 +1251,9 @@ def _register_with_frontend(frontend_url: str, server, service):
     Registers on startup and heartbeats at TTL/3; a heartbeat answered
     404 means the frontend restarted and forgot this replica, so it
     simply re-registers — the rotation heals without operator action.
+    While unregistered (a frontend not listening yet, or gone) it retries
+    after 0.1 s, doubling up to TTL/3, so a replica started beside its
+    frontend joins the rotation as soon as the frontend listens.
     Returns the Event that stops the loop.
     """
     import threading
@@ -1289,7 +1292,16 @@ def _register_with_frontend(frontend_url: str, server, service):
 
     def _loop() -> None:
         _register()
-        while not stop.wait(max(0.5, state["ttl_s"] / 3)):
+        retry_s = 0.1
+        while True:
+            if state["registered"]:
+                retry_s = 0.1
+                wait_s = max(0.5, state["ttl_s"] / 3)
+            else:
+                wait_s = retry_s
+                retry_s = min(2 * retry_s, state["ttl_s"] / 3)
+            if stop.wait(wait_s):
+                return
             if not state["registered"]:
                 _register()
                 continue

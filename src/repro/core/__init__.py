@@ -10,7 +10,6 @@ from repro.core.resample import (
     balancing_class_weights,
     downsample_to_centroids,
     shift_derivatives,
-    upsample_hotspots,
 )
 from repro.core.training import (
     HOTSPOT,
@@ -42,7 +41,6 @@ __all__ = [
     "is_hit",
     "score_reports",
     "shift_derivatives",
-    "upsample_hotspots",
     "downsample_to_centroids",
     "balancing_class_weights",
     "HOTSPOT",

@@ -35,6 +35,7 @@ from repro.core.feedback import (
     FeedbackKernel,
     guarded_keep_mask,
     train_feedback_kernel,
+    wire_cache,
 )
 from repro.core.metrics import DetectionScore, score_reports
 from repro.core.removal import remove_redundant_clips
@@ -126,15 +127,7 @@ class HotspotDetector:
         is extracted and scored once.
         """
         self.cache_ = cache
-        self._wire_cache()
-
-    def _wire_cache(self) -> None:
-        """Point every fitted component at the current cache (idempotent)."""
-        if self.model_ is not None:
-            self.model_.cache = self.cache_
-            self.model_.extractor.cache = self.cache_
-        if self.feedback_ is not None:
-            self.feedback_.extractor.cache = self.cache_
+        wire_cache(self.model_, self.feedback_, cache)
 
     def _cache_snapshot(self) -> Optional[dict]:
         if self.cache_ is None:
@@ -206,7 +199,7 @@ class HotspotDetector:
                 feedback=self.feedback_ is not None,
             )
         if self.cache_ is not None:
-            self._wire_cache()
+            wire_cache(self.model_, self.feedback_, self.cache_)
         self.training_report_ = TrainingReport(
             hotspot_clusters=len(self.model_.hotspot_clusters),
             nonhotspot_centroids=len(self.model_.nonhotspot_centroids),
@@ -228,7 +221,7 @@ class HotspotDetector:
         # attribute writes.  A cache attached directly to a component is
         # left alone when the detector has none.
         if self.cache_ is not None:
-            self._wire_cache()
+            wire_cache(self.model_, self.feedback_, self.cache_)
         return self.model_
 
     # ------------------------------------------------------------------
@@ -242,28 +235,38 @@ class HotspotDetector:
         self, clips: Sequence[Clip], threshold: Optional[float] = None
     ) -> np.ndarray:
         """Boolean hotspot flags, including the feedback stage."""
+        return self.judge_clips(clips, threshold)[0]
+
+    def judge_clips(
+        self,
+        clips: Sequence[Clip],
+        threshold: Optional[float | Sequence[float]] = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Hotspot flags (feedback stage included) and best kernel margins.
+
+        ``threshold`` is one value for every clip or one per clip; ``None``
+        uses the config's decision threshold.  The feedback kernel judges
+        every flagged clip in one pass; if it errors, the flags stand
+        (see :func:`~repro.core.feedback.guarded_keep_mask`) and
+        ``feedback_degraded_total`` is counted.
+        """
         model = self._require_model()
-        threshold = (
-            self.config.decision_threshold if threshold is None else threshold
-        )
+        if threshold is None:
+            threshold = self.config.decision_threshold
         if not clips:
-            return np.zeros(0, dtype=bool)
-        flags = model.margins(clips) >= threshold
+            return np.zeros(0, dtype=bool), np.zeros(0)
+        margins = model.margins(clips)
+        flags = margins >= np.asarray(threshold, dtype=float)
         if self.feedback_ is not None and np.any(flags):
             flagged_indices = np.flatnonzero(flags)
-            keep = self._feedback_keep([clips[i] for i in flagged_indices])
-            if keep is not None:
+            keep = guarded_keep_mask(
+                self.feedback_, [clips[i] for i in flagged_indices]
+            )
+            if keep is None:
+                self._increment("feedback_degraded_total")
+            else:
                 flags[flagged_indices[~keep]] = False
-        return flags
-
-    def _feedback_keep(self, flagged: Sequence[Clip]) -> Optional[np.ndarray]:
-        """The feedback kernel's keep mask, or ``None`` on degradation
-        (see :func:`~repro.core.feedback.guarded_keep_mask`)."""
-        assert self.feedback_ is not None
-        keep = guarded_keep_mask(self.feedback_, flagged)
-        if keep is None:
-            self._increment("feedback_degraded_total")
-        return keep
+        return flags, margins
 
     # ------------------------------------------------------------------
     # layout-level evaluation

@@ -29,9 +29,9 @@ from repro.errors import ReproError
 from repro.features.vector import ExtractedFeatures, FeatureExtractor, FeatureSchema
 from repro.layout.clip import Clip
 from repro.obs import get_logger, trace
-from repro.svm.grid_search import IterativeConfig, train_iterative
+from repro.svm.grid_search import train_iterative
 from repro.svm.model import SupportVectorClassifier
-from repro.topology.cluster import ClassifierConfig, TopologicalClassifier
+from repro.topology.cluster import TopologicalClassifier
 
 
 @dataclass
@@ -91,6 +91,16 @@ def guarded_keep_mask(
         return None
 
 
+def wire_cache(model, feedback, cache) -> None:
+    """Point a model, its extractor and a feedback kernel's extractor at
+    ``cache`` (``None`` detaches them); either component may be ``None``."""
+    if model is not None:
+        model.cache = cache
+        model.extractor.cache = cache
+    if feedback is not None:
+        feedback.extractor.cache = cache
+
+
 def _ambit_extractor(config: DetectorConfig) -> FeatureExtractor:
     """Feature extractor over the core-plus-inner-ambit context window."""
     features = replace(config.features, region="context")
@@ -99,16 +109,7 @@ def _ambit_extractor(config: DetectorConfig) -> FeatureExtractor:
 
 def _ambit_classifier(config: DetectorConfig) -> TopologicalClassifier:
     """Topological classifier that sees the ambit (Fig. 9(c))."""
-    base = config.classifier
-    ambit_config = ClassifierConfig(
-        grid_resolution=base.grid_resolution,
-        radius_threshold=base.radius_threshold,
-        expected_cluster_count=base.expected_cluster_count,
-        recompute_centroids=base.recompute_centroids,
-        use_ambit=True,
-        pairwise_sample_limit=base.pairwise_sample_limit,
-    )
-    return TopologicalClassifier(ambit_config)
+    return TopologicalClassifier(replace(config.classifier, use_ambit=True))
 
 
 def train_feedback_kernel(
@@ -172,20 +173,8 @@ def _train_feedback_kernel(
     )
     matrix, schema = extractor.build_matrix([extractor.extract(clip) for clip in clips])
     weights = balancing_class_weights(len(hotspot_clips), len(nonhotspot_clips))
-    svm = config.svm
     result = train_iterative(
-        matrix,
-        labels,
-        IterativeConfig(
-            initial_c=svm.initial_c,
-            initial_gamma=svm.initial_gamma,
-            target_accuracy=svm.target_accuracy,
-            max_rounds=svm.max_rounds,
-            class_weight=weights or None,
-            kernel=svm.kernel,
-            far_field_floor=svm.far_field_floor,
-            scale_features=svm.scale_features,
-        ),
+        matrix, labels, replace(config.svm, class_weight=weights or None)
     )
     span.set(
         trained=True,

@@ -38,14 +38,6 @@ def shift_derivatives(clip: Clip, amount: int) -> list[Clip]:
     ]
 
 
-def upsample_hotspots(hotspots: Sequence[Clip], amount: int) -> list[Clip]:
-    """Shift-upsample every hotspot pattern (originals first)."""
-    out: list[Clip] = []
-    for clip in hotspots:
-        out.extend(shift_derivatives(clip, amount))
-    return out
-
-
 def downsample_to_centroids(
     clips: Sequence[Clip], clusters: Sequence[Cluster]
 ) -> list[Clip]:

@@ -15,7 +15,7 @@ fit extracts each training clip once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -268,16 +268,7 @@ def _train_one_kernel(
     weights = svm_config.class_weight or balancing_class_weights(
         len(cluster_hotspots), len(centroid_features)
     )
-    config = IterativeConfig(
-        initial_c=svm_config.initial_c,
-        initial_gamma=svm_config.initial_gamma,
-        target_accuracy=svm_config.target_accuracy,
-        max_rounds=svm_config.max_rounds,
-        class_weight=weights or None,
-        kernel=svm_config.kernel,
-        far_field_floor=svm_config.far_field_floor,
-        scale_features=svm_config.scale_features,
-    )
+    config = replace(svm_config, class_weight=weights or None)
     with trace(
         "train.kernel",
         cluster=cluster_index,

@@ -176,22 +176,3 @@ class FleetHandshakeError(FleetError):
     under different state.
     """
 
-
-class LeaseLostError(FleetError, TransientError):
-    """The coordinator expired or reassigned a shard lease this worker held.
-
-    Transient by design: the worker abandons the shard (another worker
-    owns it now) and goes back to the lease queue.
-    """
-
-
-class StaleEpochError(FleetError):
-    """A fleet RPC carried a leader epoch the coordinator has moved past.
-
-    Raised client-side when a request is fenced with 409
-    ``stale_epoch`` and the worker cannot re-handshake against the new
-    leader.  The fence is what keeps first-push-wins intact across a
-    coordinator fail-over: a zombie primary's workers (or a worker
-    holding a pre-promotion lease) can never double-accept a shard on
-    the new leader.
-    """

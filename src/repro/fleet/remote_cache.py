@@ -810,15 +810,3 @@ class RemoteCacheStore(CacheStore):
             "remote_hints_flushed": self.hints_flushed,
             "remote_nodes": self.node_health(),
         }
-
-    def node_stats(self) -> dict:
-        """``/cache/v1/stats`` of every reachable node, keyed by URL."""
-        out: dict = {}
-        for url in self.ring.nodes:
-            try:
-                status, document = self._clients[url].get_json("/cache/v1/stats")
-            except Exception:
-                continue
-            if status == 200:
-                out[url] = document
-        return out

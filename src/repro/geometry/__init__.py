@@ -5,7 +5,7 @@ density grids — is built from the primitives exported here.
 """
 
 from repro.geometry.point import ORIGIN, Point
-from repro.geometry.polygon import Corner, CornerKind, Edge, Polygon
+from repro.geometry.polygon import Edge, Polygon
 from repro.geometry.rect import Rect, bounding_box, total_area, union_area
 from repro.geometry.transform import (
     ALL_ORIENTATIONS,
@@ -20,7 +20,6 @@ from repro.geometry.dissect import (
     cut_to_max_size,
     disjoint_cover,
     subtract_rect,
-    dissect_all,
     dissect_polygon,
     horizontal_slices,
     merge_vertical,
@@ -32,13 +31,6 @@ from repro.geometry.grid import (
     orient_grid,
     window_density,
 )
-from repro.geometry.measure import (
-    corner_count,
-    min_external_distance,
-    min_internal_distance,
-    min_rect_spacing,
-    touch_point_count,
-)
 
 __all__ = [
     "ORIGIN",
@@ -46,8 +38,6 @@ __all__ = [
     "Rect",
     "Polygon",
     "Edge",
-    "Corner",
-    "CornerKind",
     "Orientation",
     "ALL_ORIENTATIONS",
     "bounding_box",
@@ -62,7 +52,6 @@ __all__ = [
     "merge_vertical",
     "cut_to_max_size",
     "dissect_polygon",
-    "dissect_all",
     "rects_cover_polygon",
     "disjoint_cover",
     "subtract_rect",
@@ -70,9 +59,4 @@ __all__ = [
     "window_density",
     "orient_grid",
     "all_orientation_grids",
-    "corner_count",
-    "touch_point_count",
-    "min_internal_distance",
-    "min_external_distance",
-    "min_rect_spacing",
 ]

@@ -94,14 +94,6 @@ def dissect_polygon(polygon: Polygon, max_side: int | None = None) -> list[Rect]
     return rects
 
 
-def dissect_all(polygons: Iterable[Polygon], max_side: int | None = None) -> list[Rect]:
-    """Dissect a polygon collection into one flat rectangle list."""
-    out: list[Rect] = []
-    for polygon in polygons:
-        out.extend(dissect_polygon(polygon, max_side))
-    return out
-
-
 def subtract_rect(rect: Rect, cutter: Rect) -> list[Rect]:
     """``rect`` minus ``cutter`` as up to four disjoint rectangles."""
     overlap = rect.intersection(cutter)

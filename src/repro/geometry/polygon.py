@@ -27,10 +27,6 @@ class Edge:
     end: Point
 
     @property
-    def is_horizontal(self) -> bool:
-        return self.start.y == self.end.y
-
-    @property
     def is_vertical(self) -> bool:
         return self.start.x == self.end.x
 
@@ -46,26 +42,6 @@ class Edge:
             max(self.start.x, self.end.x),
             max(self.start.y, self.end.y),
         )
-
-
-class CornerKind:
-    """Labels for polygon corners.
-
-    ``CONVEX`` corners point outward (interior angle 90 degrees) and
-    ``CONCAVE`` corners point inward (interior angle 270 degrees).  Corner
-    counts are one of the paper's five nontopological features.
-    """
-
-    CONVEX = "convex"
-    CONCAVE = "concave"
-
-
-@dataclass(frozen=True)
-class Corner:
-    """A polygon corner with its kind and location."""
-
-    point: Point
-    kind: str
 
 
 @dataclass
@@ -125,31 +101,6 @@ class Polygon:
         n = len(self.vertices)
         for i in range(n):
             yield Edge(self.vertices[i], self.vertices[(i + 1) % n])
-
-    def corners(self) -> list[Corner]:
-        """Classify every vertex as convex or concave.
-
-        For a CCW loop a left turn at a vertex is convex, a right turn is
-        concave.  Rectilinear simple polygons have ``convex = concave + 4``.
-        """
-        out: list[Corner] = []
-        n = len(self.vertices)
-        for i in range(n):
-            prev_pt = self.vertices[(i - 1) % n]
-            here = self.vertices[i]
-            next_pt = self.vertices[(i + 1) % n]
-            cross = (here.x - prev_pt.x) * (next_pt.y - here.y) - (
-                here.y - prev_pt.y
-            ) * (next_pt.x - here.x)
-            kind = CornerKind.CONVEX if cross > 0 else CornerKind.CONCAVE
-            out.append(Corner(here, kind))
-        return out
-
-    def convex_corner_count(self) -> int:
-        return sum(1 for c in self.corners() if c.kind == CornerKind.CONVEX)
-
-    def concave_corner_count(self) -> int:
-        return sum(1 for c in self.corners() if c.kind == CornerKind.CONCAVE)
 
     def contains_point(self, p: Point) -> bool:
         """Point-in-polygon via crossing count (boundary counts as inside)."""

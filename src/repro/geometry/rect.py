@@ -11,7 +11,7 @@ non-overlapping rectangle covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point
@@ -254,10 +254,3 @@ def union_area(rects: list[Rect]) -> int:
                     area += (cx1 - cx0) * (cy1 - cy0)
                     break
     return area
-
-
-def iter_pairs(rects: list[Rect]) -> Iterator[tuple[Rect, Rect]]:
-    """All unordered pairs of rectangles, for spacing scans."""
-    for i, first in enumerate(rects):
-        for second in rects[i + 1 :]:
-            yield first, second

@@ -201,26 +201,6 @@ class Clip:
     def with_label(self, label: ClipLabel) -> "Clip":
         return replace(self, label=label)
 
-    def normalized(self) -> "Clip":
-        """The clip translated so its window's lower-left is the origin.
-
-        Training patterns from different layout locations compare equal
-        after normalisation iff their content matches.
-        """
-        dx, dy = -self.window.x0, -self.window.y0
-        return Clip(
-            self.window.translated(dx, dy),
-            self.spec,
-            tuple(sorted(r.translated(dx, dy) for r in self.rects)),
-            self.label,
-            self.layer,
-        )
-
-    def content_key(self) -> tuple:
-        """Hashable, position-independent content fingerprint."""
-        normal = self.normalized()
-        return (normal.spec, normal.rects)
-
 
 @dataclass
 class ClipSet:

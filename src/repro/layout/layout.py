@@ -9,7 +9,7 @@ from GDSII lives in :mod:`repro.layout.io`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.errors import LayoutError
 from repro.geometry.dissect import dissect_polygon
@@ -68,10 +68,6 @@ class Layout:
     def add_rect(self, layer: int, rect: Rect) -> None:
         self.layer(layer).add_rect(rect)
         self._indexes.pop(layer, None)
-
-    def add_polygons(self, layer: int, polygons: Iterable[Polygon]) -> None:
-        for polygon in polygons:
-            self.add_polygon(layer, polygon)
 
     # ------------------------------------------------------------------
     # queries

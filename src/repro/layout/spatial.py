@@ -83,20 +83,6 @@ class RectIndex:
         rects = self._rects
         return sorted(i for i in ids if rects[i].overlaps(window))
 
-    def query_touching(self, window: Rect) -> list[Rect]:
-        """All rectangles overlapping or abutting ``window``."""
-        seen: set[int] = set()
-        out: list[Rect] = []
-        for key in self._bucket_keys(window.expanded(1)):
-            for rect_id in self._buckets.get(key, ()):
-                if rect_id in seen:
-                    continue
-                seen.add(rect_id)
-                rect = self._rects[rect_id]
-                if rect.touches(window):
-                    out.append(rect)
-        return out
-
     def any_overlap(self, window: Rect) -> bool:
         """Fast emptiness test for a window."""
         for key in self._bucket_keys(window):

@@ -259,10 +259,6 @@ class MetricsAggregator:
         with self._lock:
             self._members[name] = source
 
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._members.pop(name, None)
-
     def members(self) -> list[str]:
         with self._lock:
             return sorted(self._members)

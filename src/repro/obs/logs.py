@@ -98,10 +98,6 @@ def configure(
     _config.context = dict(context)
 
 
-def is_configured() -> bool:
-    return _config.enabled
-
-
 class StructuredLogger:
     """A named logger with an immutable bound context."""
 

@@ -366,10 +366,6 @@ class Tracer:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.export_chrome(), handle)
 
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.export_json(), handle, default=str)
-
 
 def _json_safe(value: Any) -> Any:
     if isinstance(value, (str, int, float, bool)) or value is None:

@@ -41,7 +41,7 @@ from .breaker import BreakerConfig, CircuitBreaker
 from .drill import ChaosDrill, DrillAction, DrillReport, DrillSchedule
 from .checkpoint import Journal, training_fingerprint
 from .quarantine import QuarantineItem, QuarantineReport
-from .retry import IO_RETRY, Deadline, RetryPolicy, RetryState, call_with_retry
+from .retry import IO_RETRY, Deadline, RetryPolicy, call_with_retry
 
 __all__ = [
     "BreakerConfig",
@@ -59,7 +59,6 @@ __all__ = [
     "QuarantineItem",
     "QuarantineReport",
     "RetryPolicy",
-    "RetryState",
     "StageTimeout",
     "TransientError",
     "call_with_retry",

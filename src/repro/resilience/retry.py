@@ -21,7 +21,7 @@ fake clock and assert the exact backoff schedule.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 from typing import Callable, Optional, TypeVar
 
@@ -133,16 +133,3 @@ def call_with_retry(
     assert last is not None
     raise last
 
-
-@dataclass
-class RetryState:
-    """Mutable attempt counter threaded through client-side retries."""
-
-    attempts: int = 1
-    last_delay_s: float = 0.0
-    delays: list = field(default_factory=list)
-
-    def note(self, delay_s: float) -> None:
-        self.attempts += 1
-        self.last_delay_s = delay_s
-        self.delays.append(delay_s)

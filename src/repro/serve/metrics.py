@@ -96,9 +96,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -324,9 +321,6 @@ class MetricsRegistry:
     def increment(self, name: str, amount: float = 1.0) -> None:
         """Bump the counter called ``name``."""
         self.counter(name).labels().inc(amount)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).labels().set(value)
 
     # ------------------------------------------------------------------
     # rendering

@@ -227,13 +227,6 @@ class ModelRegistry:
         with self._lock:
             return len(self._entries)
 
-    def unload(self, name: str) -> None:
-        with self._lock:
-            if name not in self._entries:
-                raise ModelNotFoundError(f"model {name!r} not loaded")
-            del self._entries[name]
-            self._last_poll.pop(name, None)
-
     def describe(self) -> list[dict]:
         """JSON-friendly description of every loaded version."""
         with self._lock:

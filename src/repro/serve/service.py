@@ -291,33 +291,24 @@ class ServeService:
         faults.inject("serve.evaluate", group=group)
         entry = self.registry.get(group)
         detector = entry.detector
-        model = detector.model_
-        if model is None:
+        if detector.model_ is None:
             raise ServeError(f"model {group!r} has no trained kernels")
 
         all_clips: list[Clip] = []
-        spans: list[tuple[int, int, float]] = []
+        thresholds: list[float] = []
+        spans: list[tuple[int, int]] = []
         for clips, threshold in requests:
             start = len(all_clips)
             all_clips.extend(clips)
-            spans.append((start, len(all_clips), float(threshold)))
+            thresholds.extend([float(threshold)] * len(clips))
+            spans.append((start, len(all_clips)))
 
-        margins = model.margins(all_clips)
-        flags = np.zeros(len(all_clips), dtype=bool)
-        for start, stop, threshold in spans:
-            flags[start:stop] = margins[start:stop] >= threshold
-
-        # One feedback pass over every flagged clip in the batch — the
-        # filter is per-clip, so batching cannot change any verdict.  An
-        # erroring feedback kernel degrades to the primary verdicts
-        # (logged + counted) instead of failing the whole batch.
-        if detector.feedback_ is not None and np.any(flags):
-            flagged_indices = np.flatnonzero(flags)
-            keep = detector._feedback_keep([all_clips[i] for i in flagged_indices])
-            if keep is not None:
-                flags[flagged_indices[~keep]] = False
-
+        # One judgement of the whole batch, each clip under its request's
+        # threshold: the feedback kernel is per-clip, so batching cannot
+        # change any verdict, and an erroring feedback kernel degrades to
+        # the primary verdicts instead of failing the batch.
+        flags, margins = detector.judge_clips(all_clips, thresholds)
         return [
             list(zip(flags[start:stop].tolist(), margins[start:stop].tolist()))
-            for start, stop, _ in spans
+            for start, stop in spans
         ]

@@ -18,7 +18,6 @@ from repro.topology.density import (
     best_alignment,
     cluster_radius,
     density_distance,
-    density_distance_fixed,
     pairwise_max_distance,
 )
 from repro.topology.cluster import (
@@ -39,7 +38,6 @@ __all__ = [
     "strings_match",
     "same_topology",
     "density_distance",
-    "density_distance_fixed",
     "best_alignment",
     "pairwise_max_distance",
     "cluster_radius",

@@ -164,26 +164,3 @@ class TopologicalClassifier:
                 out.append(home)
             home.add(index, grid, recompute_centroid=self.config.recompute_centroids)
         return out
-
-    # ------------------------------------------------------------------
-    def assign(self, clip: Clip, clusters: list[Cluster]) -> Optional[int]:
-        """Index of the cluster covering ``clip``, or ``None``.
-
-        Used at evaluation time to route a candidate clip to the SVM kernel
-        of its nearest compatible cluster.  String keys must match exactly;
-        among clusters with a matching key the nearest centroid within its
-        radius wins; with no radius hit the nearest matching-key centroid is
-        returned (the kernel still has the best chance of understanding the
-        pattern).
-        """
-        key = self._string_key(clip)
-        grid = self._grid(clip)
-        best: Optional[int] = None
-        best_distance = float("inf")
-        for index, cluster in enumerate(clusters):
-            if cluster.string_key != key:
-                continue
-            distance = cluster.distance_to(grid)
-            if distance < best_distance:
-                best, best_distance = index, distance
-        return best

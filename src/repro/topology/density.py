@@ -31,15 +31,6 @@ def density_distance(grid_a: np.ndarray, grid_b: np.ndarray) -> float:
     )
 
 
-def density_distance_fixed(grid_a: np.ndarray, grid_b: np.ndarray) -> float:
-    """L1 distance without orientation search (used inside aligned clusters)."""
-    if grid_a.shape != grid_b.shape:
-        raise TopologyError(
-            f"density grids differ in shape: {grid_a.shape} vs {grid_b.shape}"
-        )
-    return float(np.abs(grid_a - grid_b).sum())
-
-
 def best_alignment(grid_a: np.ndarray, grid_b: np.ndarray) -> tuple[str, np.ndarray]:
     """The orientation of ``grid_b`` closest to ``grid_a`` and that grid.
 

@@ -21,7 +21,7 @@ scan --workers N`` on the CLI) to run them on N supervised worker
 processes.
 """
 
-from repro.work.pool import PoolConfig, PoolStats, PoolTask, SupervisedPool
+from repro.work.pool import PoolStats, PoolTask, SupervisedPool
 from repro.work.shard import (
     ScanOptions,
     ScanResult,
@@ -35,7 +35,6 @@ from repro.work.shard import (
 )
 
 __all__ = [
-    "PoolConfig",
     "PoolStats",
     "PoolTask",
     "SupervisedPool",

@@ -6,8 +6,8 @@ pathological clip takes a whole multi-hour scan down with it.
 an actively supervising parent instead:
 
 - **Heartbeats** — each worker runs a daemon thread that reports
-  liveness every ``heartbeat_interval_s``; a worker that goes silent
-  past ``heartbeat_timeout_s`` is presumed wedged and killed.
+  liveness every ``_HEARTBEAT_INTERVAL_S``; a worker that goes silent
+  past ``_HEARTBEAT_TIMEOUT_S`` is presumed wedged and killed.
 - **Hung-task kill** — every dispatched task gets a
   :class:`~repro.resilience.retry.Deadline`; on expiry the worker is
   SIGKILLed and the task handled like a crash
@@ -15,7 +15,7 @@ an actively supervising parent instead:
 - **Crash detection + bounded retry** — a worker that dies mid-task
   (segfault, OOM, injected ``kill`` fault) is detected via its process
   sentinel; the task is retried on a *fresh* worker up to
-  ``task_retries`` times.
+  ``_TASK_RETRIES`` times.
 - **Bisection** — a task that keeps killing workers is split via the
   caller's ``split`` callback until the offending unit is isolated; the
   atomic survivor is reported through ``on_poison`` (the sharded scan
@@ -48,7 +48,7 @@ import signal
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
 from multiprocessing.connection import wait as connection_wait
 from typing import Callable, Optional, Sequence
@@ -70,34 +70,18 @@ _log = get_logger("work.pool")
 _DRAIN_TIMEOUT_S = 5.0
 #: Supervisor poll tick; bounds detection latency, not throughput.
 _TICK_S = 0.05
+#: Per-task wall budget; a task still running past it is killed.
+_TASK_TIMEOUT_S = 300.0
+#: How often each worker reports liveness.
+_HEARTBEAT_INTERVAL_S = 0.2
+#: Silence longer than this while a task is in flight kills the worker.
+_HEARTBEAT_TIMEOUT_S = 10.0
+#: Crash/hang/error retries per task before splitting or poisoning.
+_TASK_RETRIES = 1
 
 
 def _start_method() -> str:
     return "fork" if "fork" in get_all_start_methods() else "spawn"
-
-
-@dataclass(frozen=True)
-class PoolConfig:
-    """Supervision knobs of a :class:`SupervisedPool`."""
-
-    workers: int = 2
-    #: Per-task wall budget; ``None`` disables the hung-task kill.
-    task_timeout_s: Optional[float] = 300.0
-    heartbeat_interval_s: float = 0.2
-    #: Silence longer than this while a task is in flight kills the worker.
-    heartbeat_timeout_s: float = 10.0
-    #: Crash/hang/error retries per task before splitting or poisoning.
-    task_retries: int = 1
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigError("pool workers must be >= 1")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise ConfigError("task_timeout_s must be positive or None")
-        if self.heartbeat_interval_s <= 0 or self.heartbeat_timeout_s <= 0:
-            raise ConfigError("heartbeat intervals must be positive")
-        if self.task_retries < 0:
-            raise ConfigError("task_retries must be >= 0")
 
 
 @dataclass
@@ -109,8 +93,6 @@ class PoolTask:
     payload: object
     #: Crash/hang/error attempts consumed so far.
     attempts: int = 0
-    #: How many bisections produced this task (0 = original).
-    depth: int = 0
     #: Opaque grouping key threaded through splits (the scan's shard id).
     group: Optional[object] = None
 
@@ -224,7 +206,6 @@ class _Worker:
         "conn",
         "task",
         "deadline",
-        "dispatched_at",
         "last_heartbeat",
         "ready",
         "dead",
@@ -237,7 +218,6 @@ class _Worker:
         self.conn = conn
         self.task: Optional[PoolTask] = None
         self.deadline: Optional[Deadline] = None
-        self.dispatched_at = 0.0
         self.last_heartbeat = time.monotonic()
         self.ready = False
         self.dead = False
@@ -252,8 +232,7 @@ class SupervisedPool:
 
     One-shot usage::
 
-        pool = SupervisedPool(PoolConfig(workers=4), init_fn=_load_state,
-                              init_args=(model_path,))
+        pool = SupervisedPool(4, init_fn=_load_state, init_args=(model_path,))
         stats = pool.run(tasks, split=split_fn,
                          on_result=collect, on_poison=quarantine)
 
@@ -264,11 +243,13 @@ class SupervisedPool:
 
     def __init__(
         self,
-        config: Optional[PoolConfig] = None,
+        workers: int,
         init_fn: Optional[Callable] = None,
         init_args: tuple = (),
     ) -> None:
-        self.config = config or PoolConfig()
+        if workers < 1:
+            raise ConfigError("pool workers must be >= 1")
+        self.workers = workers
         self._init_fn = init_fn
         self._init_args = init_args
         self._context = get_context(_start_method())
@@ -287,7 +268,7 @@ class SupervisedPool:
                 index,
                 self._init_fn,
                 self._init_args,
-                self.config.heartbeat_interval_s,
+                _HEARTBEAT_INTERVAL_S,
             ),
             daemon=True,
             name=f"repro-work-{index}",
@@ -351,7 +332,6 @@ class SupervisedPool:
         are exhausted.  Setting ``stop_event`` drains: no new dispatch,
         in-flight tasks finish, ``stats.drained`` is set if work remains.
         """
-        config = self.config
         stats = PoolStats()
         started = time.perf_counter()
         queue: deque[PoolTask] = deque(tasks)
@@ -359,7 +339,7 @@ class SupervisedPool:
             stats.wall_s = time.perf_counter() - started
             return stats
 
-        count = min(config.workers, len(queue))
+        count = min(self.workers, len(queue))
         workers = [self._spawn(index) for index in range(count)]
         try:
             self._supervise(workers, queue, split, on_result, on_poison,
@@ -371,7 +351,6 @@ class SupervisedPool:
 
     def _supervise(self, workers, queue, split, on_result, on_poison,
                    stop_event, stats: PoolStats) -> None:
-        config = self.config
 
         def draining() -> bool:
             return stop_event is not None and stop_event.is_set()
@@ -398,7 +377,7 @@ class SupervisedPool:
                 crashed=crashed,
                 error=f"{type(error).__name__}: {error}",
             )
-            if task.attempts <= config.task_retries:
+            if task.attempts <= _TASK_RETRIES:
                 stats.task_retries += 1
                 queue.appendleft(task)
                 return
@@ -450,7 +429,7 @@ class SupervisedPool:
                         ),
                         crashed=True,
                     )
-                if init_failures > max(4, 2 * config.workers):
+                if init_failures > max(4, 2 * self.workers):
                     raise WorkerCrashError(
                         "workers repeatedly failing to initialise: "
                         f"{message[1]}: {message[2]}"
@@ -515,12 +494,12 @@ class SupervisedPool:
             if worker.deadline is not None and worker.deadline.expired():
                 timeout = StageTimeout(
                     f"task {worker.task.task_id!r} exceeded its "
-                    f"{config.task_timeout_s:.1f}s deadline on {worker.name}"
+                    f"{_TASK_TIMEOUT_S:.1f}s deadline on {worker.name}"
                 )
                 self._kill(worker)
                 fail_task(worker, timeout, crashed=True)
                 return
-            if now - worker.last_heartbeat > config.heartbeat_timeout_s:
+            if now - worker.last_heartbeat > _HEARTBEAT_TIMEOUT_S:
                 silence = now - worker.last_heartbeat
                 self._kill(worker)
                 fail_task(
@@ -535,13 +514,8 @@ class SupervisedPool:
 
         def dispatch(worker: _Worker, task: PoolTask) -> None:
             worker.task = task
-            worker.dispatched_at = time.monotonic()
             worker.last_heartbeat = time.monotonic()
-            worker.deadline = (
-                Deadline(config.task_timeout_s)
-                if config.task_timeout_s is not None
-                else None
-            )
+            worker.deadline = Deadline(_TASK_TIMEOUT_S)
             try:
                 worker.conn.send(("task", task.task_id, task.fn, task.payload))
             except (BrokenPipeError, OSError):

@@ -66,7 +66,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core import extraction
-from repro.core.feedback import guarded_keep_mask
+from repro.core.feedback import guarded_keep_mask, wire_cache
 from repro.core.training import GATED_OUT
 from repro.errors import CheckpointError, NotFittedError, ScanDrainedError
 from repro.geometry.rect import Rect
@@ -75,7 +75,7 @@ from repro.obs import fingerprint_layout, fingerprint_rows, get_logger, tally, t
 from repro.resilience import faults
 from repro.resilience.checkpoint import Journal
 from repro.resilience.quarantine import QuarantineReport
-from repro.work.pool import PoolConfig, PoolStats, PoolTask, SupervisedPool
+from repro.work.pool import PoolStats, PoolTask, SupervisedPool
 
 #: Bump on breaking journal-layout changes.  Version 3 keys every shard
 #: by its cell origin and geometry hash in the shared
@@ -635,11 +635,7 @@ def _scan_worker_init(
         # content-addressed and written via atomic rename.
         from repro.cache import HotspotCache
 
-        cache = HotspotCache(directory=cache_dir)
-        model.cache = cache
-        model.extractor.cache = cache
-        if feedback is not None:
-            feedback.extractor.cache = cache
+        wire_cache(model, feedback, HotspotCache(directory=cache_dir))
     return _WorkerState(
         config=config, model=model, feedback=feedback, layout=layout, layer=layer
     )
@@ -769,7 +765,6 @@ def run_sharded_scan(
                     task_id=f"{task.task_id}/{side}",
                     fn=_scan_shard_task,
                     payload=(shard_id, chunk),
-                    depth=task.depth + 1,
                     group=shard_id,
                 )
                 for side, chunk in enumerate((anchors[:half], anchors[half:]))
@@ -788,7 +783,7 @@ def run_sharded_scan(
             # Every shard may come from the journal (a fully-unchanged
             # incremental rescan): then there is nothing to fork for.
             pool = SupervisedPool(
-                PoolConfig(workers=options.workers),
+                options.workers,
                 init_fn=_scan_worker_init,
                 init_args=(
                     config, model, feedback, layout, layer,

@@ -1,5 +1,11 @@
 """Public API surface tests: imports, exports, error hierarchy."""
 
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -30,25 +36,44 @@ class TestTopLevelApi:
 
     @pytest.mark.parametrize(
         "module",
-        [
-            "repro.geometry",
-            "repro.gdsii",
-            "repro.layout",
-            "repro.topology",
-            "repro.mtcg",
-            "repro.features",
-            "repro.svm",
-            "repro.core",
-            "repro.baselines",
-            "repro.multilayer",
-            "repro.data",
-        ],
+        sorted(
+            f"repro.{info.name}"
+            for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg
+        ),
     )
     def test_subpackage_all_exports(self, module):
         imported = __import__(module, fromlist=["__all__"])
         for name in imported.__all__:
             assert getattr(imported, name, None) is not None, f"{module}.{name}"
 
+
+    def test_examples_and_benchmarks_import(self):
+        """Every module under examples/ and benchmarks/ imports, so a name
+        deleted from ``repro`` fails here rather than when that file is
+        next run.  In a subprocess: the benches import their own
+        ``conftest``, which would clash with this suite's."""
+        root = Path(__file__).resolve().parent.parent
+        paths = sorted((root / "examples").glob("*.py"))
+        paths += sorted((root / "benchmarks").glob("*.py"))
+        script = (
+            "import runpy, sys\n"
+            "for path in sys.argv[1:]:\n"
+            "    runpy.run_path(path, run_name='imported')\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root / "benchmarks"), env.get("PYTHONPATH", "")]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, *map(str, paths)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert len(paths) > 2
+        assert result.returncode == 0, result.stderr
 
 class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):

@@ -16,7 +16,6 @@ from repro.core.resample import (
     balancing_class_weights,
     downsample_to_centroids,
     shift_derivatives,
-    upsample_hotspots,
 )
 from repro.errors import ConfigError
 from repro.geometry.rect import Rect
@@ -77,10 +76,6 @@ class TestResample:
         derivatives = shift_derivatives(clip, 120)
         windows = {d.window.lower_left for d in derivatives}
         assert len(windows) == 5  # original plus 4 distinct shifts
-
-    def test_upsample(self):
-        clips = [self.make_clip(), self.make_clip()]
-        assert len(upsample_hotspots(clips, 120)) == 10
 
     def test_downsample_to_centroids(self):
         clips = [

@@ -14,11 +14,13 @@ from __future__ import annotations
 import copy
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -709,6 +711,27 @@ class TestFrontend:
                 "/fleet/v1/heartbeat", {"name": "ghost"}
             )
         assert status == 404
+
+    def test_replica_joins_once_a_late_frontend_listens(self):
+        """A replica whose first registration finds no frontend retries
+        quickly, so it is listed soon after the frontend comes up (not a
+        TTL/3 of 3.3 s later)."""
+        from repro.cli import _register_with_frontend
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        replica = SimpleNamespace(url="http://127.0.0.1:1")
+        service = SimpleNamespace(registry=SimpleNamespace(signature=lambda: "v"))
+        frontend = FleetFrontend()
+        stop = _register_with_frontend(f"http://127.0.0.1:{port}", replica, service)
+        try:
+            time.sleep(0.5)
+            with FleetHTTPServer(frontend, port=port):
+                assert wait_until(lambda: frontend.members.members(), timeout_s=2.0)
+            assert [m.url for m in frontend.members.members()] == [replica.url]
+        finally:
+            stop.set()
 
     @pytest.mark.parametrize("path", ["/fleet/v1/register", "/fleet/v1/heartbeat"])
     @pytest.mark.parametrize("body", [b"not json", b"[]"])

@@ -11,13 +11,8 @@ from repro.geometry.grid import (
     orient_grid,
     window_density,
 )
-from repro.geometry.measure import (
-    corner_count,
-    min_external_distance,
-    min_internal_distance,
-    min_rect_spacing,
-    touch_point_count,
-)
+from repro.features.nontopo import corner_and_touch_counts, extract_nontopo_features
+from repro.geometry.dissect import dissect_polygon
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 
@@ -123,39 +118,44 @@ class TestOrientGrid:
 
 
 class TestMeasure:
+    """Fig. 7(e)'s width, spacing, touch and corner measures, taken by the
+    nontopological features (``min_internal``/``min_external`` fall back to
+    the window side when nothing faces)."""
+
     def test_min_internal_is_polygon_width(self):
-        poly = Polygon.from_rect(Rect(0, 0, 10, 3))
-        assert min_internal_distance([poly]) == 3
+        assert extract_nontopo_features([Rect(0, 0, 10, 3)], WINDOW).min_internal == 3
 
     def test_min_external_between_polygons(self):
-        a = Polygon.from_rect(Rect(0, 0, 4, 4))
-        b = Polygon.from_rect(Rect(7, 0, 10, 4))
-        assert min_external_distance([a, b]) == 3
+        rects = [Rect(0, 0, 4, 4), Rect(7, 0, 10, 4)]
+        assert extract_nontopo_features(rects, WINDOW).min_external == 3
 
     def test_u_shape_notch_spacing(self):
         u = Polygon(
             [(0, 0), (10, 0), (10, 8), (7, 8), (7, 3), (3, 3), (3, 8), (0, 8)]
         )
         # the notch faces itself across 4 units
-        assert min_external_distance([u]) == 4
+        assert extract_nontopo_features(dissect_polygon(u), WINDOW).min_external == 4
 
     def test_no_external_for_single_rect(self):
-        assert min_external_distance([Polygon.from_rect(Rect(0, 0, 4, 4))]) is None
+        features = extract_nontopo_features([Rect(0, 0, 4, 4)], WINDOW)
+        assert features.min_external == WINDOW.width
 
     def test_touch_points(self):
-        a = Polygon.from_rect(Rect(0, 0, 4, 4))
-        b = Polygon.from_rect(Rect(4, 4, 8, 8))
-        assert touch_point_count([a, b]) == 1
+        rects = [Rect(0, 0, 4, 4), Rect(4, 4, 8, 8)]
+        assert corner_and_touch_counts(rects, Rect(-1, -1, 13, 13))[1] == 1
 
     def test_corner_count(self):
-        l_shape = Polygon([(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)])
-        assert corner_count([l_shape]) == 6
-        assert corner_count([l_shape, Polygon.from_rect(Rect(10, 10, 12, 12))]) == 10
+        l_shape = dissect_polygon(
+            Polygon([(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)])
+        )
+        around = Rect(-1, -1, 13, 13)
+        assert corner_and_touch_counts(l_shape, around)[0] == 6
+        assert corner_and_touch_counts(l_shape + [Rect(10, 10, 12, 12)], around)[0] == 10
 
     def test_min_rect_spacing_facing(self):
         rects = [Rect(0, 0, 4, 4), Rect(6, 0, 10, 4), Rect(0, 9, 4, 12)]
-        assert min_rect_spacing(rects) == 2
+        assert extract_nontopo_features(rects, WINDOW).min_external == 2
 
     def test_min_rect_spacing_ignores_diagonal(self):
         rects = [Rect(0, 0, 4, 4), Rect(5, 5, 8, 8)]
-        assert min_rect_spacing(rects) is None
+        assert extract_nontopo_features(rects, WINDOW).min_external == WINDOW.width

@@ -14,7 +14,7 @@ from repro.geometry.dissect import (
     subtract_rect,
 )
 from repro.geometry.point import Point
-from repro.geometry.polygon import CornerKind, Polygon
+from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.geometry.transform import (
     ALL_ORIENTATIONS,
@@ -70,19 +70,6 @@ class TestPolygon:
     def test_too_few_vertices_raises(self):
         with pytest.raises(GeometryError):
             Polygon([(0, 0), (4, 0), (4, 4)])
-
-    def test_corner_classification_l_shape(self):
-        corners = L_SHAPE.corners()
-        assert len(corners) == 6
-        convex = [c for c in corners if c.kind == CornerKind.CONVEX]
-        concave = [c for c in corners if c.kind == CornerKind.CONCAVE]
-        assert len(convex) == 5
-        assert len(concave) == 1
-        assert concave[0].point == Point(2, 2)
-
-    def test_convex_minus_concave_is_four(self):
-        for poly in (L_SHAPE, T_SHAPE, Polygon.from_rect(Rect(0, 0, 3, 3))):
-            assert poly.convex_corner_count() - poly.concave_corner_count() == 4
 
     def test_contains_point(self):
         assert L_SHAPE.contains_point(Point(1, 1))

@@ -13,7 +13,6 @@ from repro.topology.density import (
     best_alignment,
     cluster_radius,
     density_distance,
-    density_distance_fixed,
     pairwise_max_distance,
 )
 from repro.topology.match import (
@@ -287,7 +286,8 @@ class TestDensityDistance:
     def test_fixed_is_upper_bound(self):
         rng = np.random.default_rng(2)
         a, b = rng.random((6, 6)), rng.random((6, 6))
-        assert density_distance(a, b) <= density_distance_fixed(a, b) + 1e-12
+        # the identity orientation is one of the eight it minimises over
+        assert density_distance(a, b) <= float(np.abs(a - b).sum()) + 1e-12
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(TopologyError):
@@ -368,23 +368,6 @@ class TestTopologicalClassifier:
         clusters = classifier.classify(clips)
         assert len(clusters) == 1
         assert clusters[0].centroid_member() in (0, 1, 2)
-
-    def test_assign_routes_to_matching_key(self):
-        clip_a = make_clip([Rect(0, 0, 3, 12)])
-        clip_b = make_clip([Rect(0, 0, 12, 3), Rect(0, 6, 12, 9)])
-        classifier = TopologicalClassifier(ClassifierConfig(grid_resolution=6))
-        clusters = classifier.classify([clip_a, clip_b])
-        probe = make_clip([Rect(0, 0, 4, 12)])  # bar: same topology as clip_a
-        index = classifier.assign(probe, clusters)
-        assert index is not None
-        assert 0 in clusters[index].members
-
-    def test_assign_unknown_returns_none(self):
-        clip_a = make_clip([Rect(0, 0, 3, 12)])
-        classifier = TopologicalClassifier(ClassifierConfig(grid_resolution=6))
-        clusters = classifier.classify([clip_a])
-        probe = make_clip([Rect(0, 0, 12, 3), Rect(0, 5, 12, 8), Rect(0, 10, 5, 12)])
-        assert classifier.assign(probe, clusters) is None
 
     def test_empty_cluster_centroid_raises(self):
         with pytest.raises(TopologyError):

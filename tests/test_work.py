@@ -42,7 +42,6 @@ from repro.layout.io import save_layout_gds
 from repro.obs import configure_logging
 from repro.resilience import Journal, QuarantineReport, faults
 from repro.work import (
-    PoolConfig,
     PoolTask,
     ScanOptions,
     SupervisedPool,
@@ -97,7 +96,7 @@ def _broken_init():
 class TestSupervisedPool:
     def test_runs_tasks_and_collects_results(self):
         results = {}
-        pool = SupervisedPool(PoolConfig(workers=2))
+        pool = SupervisedPool(2)
         stats = pool.run(
             [PoolTask(task_id=str(i), fn=_echo, payload=i) for i in range(10)],
             on_result=lambda task, result, info: results.__setitem__(
@@ -110,7 +109,7 @@ class TestSupervisedPool:
 
     def test_crashed_task_retries_on_fresh_worker(self, tmp_path):
         results = []
-        pool = SupervisedPool(PoolConfig(workers=1, task_retries=1))
+        pool = SupervisedPool(1)
         stats = pool.run(
             [
                 PoolTask(
@@ -126,11 +125,11 @@ class TestSupervisedPool:
         assert stats.task_retries == 1
         assert stats.poison_tasks == 0
 
-    def test_hung_task_killed_at_deadline(self):
+    def test_hung_task_killed_at_deadline(self, monkeypatch):
+        monkeypatch.setattr("repro.work.pool._TASK_TIMEOUT_S", 0.5)
+        monkeypatch.setattr("repro.work.pool._TASK_RETRIES", 0)
         poisons = []
-        pool = SupervisedPool(
-            PoolConfig(workers=1, task_timeout_s=0.5, task_retries=0)
-        )
+        pool = SupervisedPool(1)
         stats = pool.run(
             [PoolTask(task_id="stuck", fn=_hang, payload=None)],
             on_poison=lambda task, error: poisons.append(error),
@@ -139,7 +138,8 @@ class TestSupervisedPool:
         assert isinstance(poisons[0], StageTimeout)
         assert stats.worker_restarts >= 1
 
-    def test_poison_task_bisected_to_single_item(self):
+    def test_poison_task_bisected_to_single_item(self, monkeypatch):
+        monkeypatch.setattr("repro.work.pool._TASK_RETRIES", 0)
         results, poisons = [], []
 
         def split(task):
@@ -152,12 +152,11 @@ class TestSupervisedPool:
                     task_id=f"{task.task_id}/{side}",
                     fn=_sum_unless_poisoned,
                     payload=chunk,
-                    depth=task.depth + 1,
                 )
                 for side, chunk in enumerate((items[:half], items[half:]))
             ]
 
-        pool = SupervisedPool(PoolConfig(workers=2, task_retries=0))
+        pool = SupervisedPool(2)
         stats = pool.run(
             [
                 PoolTask(
@@ -176,17 +175,13 @@ class TestSupervisedPool:
         assert stats.poison_tasks == 1
         assert stats.bisections >= 1
 
-    def test_heartbeat_silence_kills_worker(self):
+    def test_heartbeat_silence_kills_worker(self, monkeypatch):
+        monkeypatch.setattr("repro.work.pool._TASK_RETRIES", 0)
+        monkeypatch.setattr("repro.work.pool._TASK_TIMEOUT_S", 30.0)
+        monkeypatch.setattr("repro.work.pool._HEARTBEAT_INTERVAL_S", 0.05)
+        monkeypatch.setattr("repro.work.pool._HEARTBEAT_TIMEOUT_S", 0.3)
         poisons = []
-        pool = SupervisedPool(
-            PoolConfig(
-                workers=1,
-                task_retries=0,
-                task_timeout_s=30.0,
-                heartbeat_interval_s=0.05,
-                heartbeat_timeout_s=0.3,
-            )
-        )
+        pool = SupervisedPool(1)
         with faults.active("work.heartbeat=error:1"):
             stats = pool.run(
                 [PoolTask(task_id="silent", fn=_sleepy, payload=2.0)],
@@ -204,7 +199,7 @@ class TestSupervisedPool:
             results.append(result)
             stop.set()  # drain after the first completion
 
-        pool = SupervisedPool(PoolConfig(workers=1))
+        pool = SupervisedPool(1)
         stats = pool.run(
             [
                 PoolTask(task_id=str(i), fn=_sleepy, payload=0.05)
@@ -218,7 +213,7 @@ class TestSupervisedPool:
         assert len(results) == stats.tasks_ok
 
     def test_broken_init_does_not_respawn_forever(self):
-        pool = SupervisedPool(PoolConfig(workers=1), init_fn=_broken_init)
+        pool = SupervisedPool(1, init_fn=_broken_init)
         with pytest.raises(WorkerCrashError, match="initialise"):
             pool.run(
                 [
@@ -229,13 +224,14 @@ class TestSupervisedPool:
                 split=lambda task: None,
             )
 
-    def test_injected_task_error_is_survivable_chaos(self):
+    def test_injected_task_error_is_survivable_chaos(self, monkeypatch):
         # An ``error`` fault at work.task fails the attempt in-worker;
         # the supervisor retries the task and it succeeds.  (Counters
         # are per-process: each forked worker carries its own copy of
         # the plan state, so the !1 limit is per worker.)
+        monkeypatch.setattr("repro.work.pool._TASK_RETRIES", 2)
         results = []
-        pool = SupervisedPool(PoolConfig(workers=1, task_retries=2))
+        pool = SupervisedPool(1)
         with faults.active("work.task=error:1!1"):
             stats = pool.run(
                 [PoolTask(task_id="t", fn=_echo, payload=21)],
@@ -246,11 +242,7 @@ class TestSupervisedPool:
 
     def test_pool_config_validation(self):
         with pytest.raises(ConfigError):
-            PoolConfig(workers=0)
-        with pytest.raises(ConfigError):
-            PoolConfig(task_timeout_s=-1.0)
-        with pytest.raises(ConfigError):
-            PoolConfig(task_retries=-1)
+            SupervisedPool(0)
 
 
 # ----------------------------------------------------------------------
