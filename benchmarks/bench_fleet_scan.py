@@ -45,6 +45,7 @@ from pathlib import Path
 from repro.core.persist import load_detector, save_detector
 from repro.data.benchmarks import generate_benchmark
 from repro.fleet import CacheServer, FleetCoordinator, FleetHTTPServer, FleetOptions
+from repro.fleet.launch import RoleLauncher, spawn
 from repro.layout.io import save_layout_gds
 
 #: Layout scale for the worker-scaling rows — larger than the table
@@ -83,15 +84,11 @@ def _report_key(report):
     return sorted((c.core.x0, c.core.y0, c.core.x1, c.core.y1) for c in report.reports)
 
 
-def _spawn_worker(url: str, model: Path, layout: Path, index: int) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "fleet-worker",
-            "--url", url,
-            "--model", str(model),
-            "--layout", str(layout),
-            "--worker-id", f"bench-{index}",
-        ],
+def _spawn_worker(
+    endpoints: list, model: Path, layout: Path, index: int
+) -> subprocess.Popen:
+    return spawn(
+        RoleLauncher(model, layout).worker(endpoints, f"bench-{index}"),
         stdout=subprocess.DEVNULL,
     )
 
@@ -105,7 +102,7 @@ def _run_fleet(
     started = time.perf_counter()
     with coordinator:
         procs = [
-            _spawn_worker(coordinator.url, model_path, layout_path, i)
+            _spawn_worker([coordinator.url], model_path, layout_path, i)
             for i in range(workers)
         ]
         try:
@@ -139,7 +136,7 @@ def _run_ha_fleet(
     standby = StandbyCoordinator(
         detector, layout, coordinator.url, probe_interval_s=0.25
     ).start()
-    endpoints = f"{coordinator.url},{standby.url}"
+    endpoints = [coordinator.url, standby.url]
     procs = [
         _spawn_worker(endpoints, model_path, layout_path, i)
         for i in range(workers)
@@ -147,7 +144,8 @@ def _run_ha_fleet(
     try:
         if failover:
             assert wait_until(
-                lambda: coordinator.pushes_accepted >= 1, timeout_s=600
+                lambda: coordinator.status()["pushes_accepted"] >= 1,
+                timeout_s=600,
             ), coordinator.status()
             coordinator.stop()
             assert wait_until(

@@ -1326,6 +1326,7 @@ def cmd_fleet_scan(args) -> int:
 
     from repro.errors import ScanDrainedError
     from repro.fleet import FleetCoordinator, FleetOptions
+    from repro.fleet.launch import RoleLauncher, free_port, spawn
 
     with _ObsSession(args, "fleet-scan") as session:
         detector = load_detector(args.model)
@@ -1369,83 +1370,45 @@ def cmd_fleet_scan(args) -> int:
             file=sys.stderr,
         )
 
+        launcher = RoleLauncher(
+            args.model, args.layout, args.layer, args.lease_ttl,
+            args.shard_side, list(args.cache_url or []), args.host,
+        )
         # Warm standby: a fleet-coordinator subprocess tailing this
         # coordinator's replicate feed on a pre-allocated port, so every
         # worker's endpoint list stays valid across standby respawns.
         endpoints = [coordinator.url]
-        standby_port = None
         standby = None
         if args.standby:
-            from repro.resilience.drill import _free_port
-
-            standby_port = _free_port()
+            standby_port = free_port(set())
             endpoints.append(f"http://{args.host}:{standby_port}")
-
-        def spawn_standby() -> subprocess.Popen:
-            command = [
-                sys.executable,
-                "-m",
-                "repro",
-                "fleet-coordinator",
-                "--model",
-                str(args.model),
-                "--layout",
-                str(args.layout),
-                "--layer",
-                str(args.layer),
-                "--host",
-                args.host,
-                "--port",
-                str(standby_port),
-                "--lease-ttl",
-                str(args.lease_ttl),
-                "--standby-of",
-                coordinator.url,
-                "--probe-interval",
-                str(args.probe_interval),
-            ]
-            if args.shard_side is not None:
-                command += ["--shard-side", str(args.shard_side)]
-            if journal_dir is not None:
-                command += [
-                    "--journal-dir",
-                    str(Path(journal_dir).with_name(
-                        Path(journal_dir).name + "-standby"
-                    )),
-                ]
-            return subprocess.Popen(command)
-
-        if args.standby:
-            standby = spawn_standby()
+            standby_journal = (
+                None
+                if journal_dir is None
+                else journal_dir.with_name(journal_dir.name + "-standby")
+            )
+            standby_args = launcher.coordinator(
+                standby_port,
+                standby_journal,
+                standby_of=coordinator.url,
+                probe_interval_s=args.probe_interval,
+            )
+            standby = spawn(standby_args)
             print(
                 f"standby coordinator on {endpoints[1]} "
                 f"(probe every {args.probe_interval}s)",
                 file=sys.stderr,
             )
 
-        def spawn(index: int) -> subprocess.Popen:
-            command = [
-                sys.executable,
-                "-m",
-                "repro",
-                "fleet-worker",
-                "--url",
-                ",".join(endpoints),
-                "--model",
-                str(args.model),
-                "--layout",
-                str(args.layout),
-                "--worker-id",
-                f"worker-{index}",
-            ]
-            return subprocess.Popen(command)
+        def spawn_worker(index: int) -> subprocess.Popen:
+            return spawn(launcher.worker(endpoints, f"worker-{index}"))
 
         budget = (
             args.worker_restarts
             if args.worker_restarts is not None
             else 3 * args.fleet_workers
         )
-        workers = {i: spawn(i) for i in range(args.fleet_workers)}
+        workers = {i: spawn_worker(i) for i in range(args.fleet_workers)}
         restarts = 0
         started = time.perf_counter()
         try:
@@ -1463,7 +1426,7 @@ def cmd_fleet_scan(args) -> int:
                             f"respawning ({restarts}/{budget})",
                             file=sys.stderr,
                         )
-                        standby = spawn_standby()
+                        standby = spawn(standby_args)
                 for index, proc in list(workers.items()):
                     code = proc.poll()
                     if code is None or code == 0:
@@ -1478,7 +1441,7 @@ def cmd_fleet_scan(args) -> int:
                             f"respawning ({restarts}/{budget})",
                             file=sys.stderr,
                         )
-                        workers[index] = spawn(index)
+                        workers[index] = spawn_worker(index)
                 if not workers and not coordinator.wait(timeout=0):
                     status = coordinator.status()
                     print(
@@ -1615,10 +1578,10 @@ def _render_fleet_status(status: dict, url: str) -> None:
             f"{cache.get('remote_misses', 0)} misses "
             f"(rate {cache.get('hit_rate', 0.0):.2f})"
         )
-        if cache.get("repairs") or cache.get("probes"):
+        if cache.get("remote_repairs") or cache.get("remote_probes"):
             line += (
-                f", {cache.get('repairs', 0)} repairs, "
-                f"{cache.get('probes', 0)} probes"
+                f", {cache.get('remote_repairs', 0)} repairs, "
+                f"{cache.get('remote_probes', 0)} probes"
             )
         print(line)
     marks = {"up": "+", "half_open": "~", "down": "-"}

@@ -24,7 +24,9 @@ bit-identical** (same hotspot set, margins and funnel counts).
   multi-get/multi-put;
 - :mod:`repro.fleet.membership` / :mod:`repro.fleet.router` — TTL'd
   peer registry, consistent-hash + round-robin routing, and the
-  :class:`~repro.fleet.router.FleetFrontend` predict proxy.
+  :class:`~repro.fleet.router.FleetFrontend` predict proxy;
+- :mod:`repro.fleet.launch` — the ``fleet-coordinator`` (primary and
+  standby) and ``fleet-worker`` command lines of one fleet scan.
 
 CLI entry points: ``repro fleet-scan | fleet-worker | fleet-cache |
 fleet-frontend | fleet-coordinator | chaos``.  See ``docs/FLEET.md``.

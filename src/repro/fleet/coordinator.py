@@ -165,7 +165,6 @@ class FleetCoordinator:
             if stored is not None:
                 self.epoch = max(self.epoch, stored + 1)
             _write_epoch(Path(self.options.journal_dir), self.epoch)
-        self.stale_epoch_fenced = 0
 
         self._lock = threading.Lock()
         self._completed: dict[int, _ShardRecord] = dict(self.plan.reused)
@@ -181,11 +180,6 @@ class FleetCoordinator:
             self._done.set()
 
         self.members = MemberTable(ttl_s=max(10.0, 3 * self.options.lease_ttl_s))
-        self.leases_granted = 0
-        self.leases_expired = 0
-        self.pushes_accepted = 0
-        self.pushes_stale = 0
-        self.pushes_rejected = 0
         self.reassignments: dict[int, int] = {}
 
         # Root trace context of the whole scan: workers adopt it from
@@ -332,7 +326,6 @@ class FleetCoordinator:
             raise FleetProtocolError(f"bad epoch {raw!r}") from exc
         if theirs == self.epoch:
             return None
-        self.stale_epoch_fenced += 1
         self._m_stale_epoch.labels(route).inc()
         _log.warning(
             "stale_epoch_fenced", route=route, got=theirs, expected=self.epoch
@@ -362,12 +355,10 @@ class FleetCoordinator:
                 # Front of the queue: an expired shard is the oldest
                 # outstanding work, so it is reassigned first.
                 self._pending.appendleft(lease.shard_id)
-                self.leases_expired += 1
+                self._m_leases.labels("expired").inc()
                 self.reassignments[lease.shard_id] = (
                     self.reassignments.get(lease.shard_id, 0) + 1
                 )
-        for lease in expired:
-            self._m_leases.labels("expired").inc()
         for lease in expired:
             _log.warning(
                 "lease_expired",
@@ -396,8 +387,7 @@ class FleetCoordinator:
                 granted=now,
             )
             self._leases[shard_id] = lease
-            self.leases_granted += 1
-        self._m_leases.labels("granted").inc()
+            self._m_leases.labels("granted").inc()
         anchors = self.shards[shard_id]
         _log.info(
             "lease_granted",
@@ -429,13 +419,11 @@ class FleetCoordinator:
         if payload is None:
             # Digest-verified on receipt: a corrupt push is re-leased,
             # never merged.
-            self.pushes_rejected += 1
             self._m_pushes.labels("rejected").inc()
             raise FleetProtocolError(f"corrupt push envelope for shard {shard_id}")
         try:
             record = decode_shard_record(payload, shard_id)
         except (KeyError, ValueError, OSError) as exc:
-            self.pushes_rejected += 1
             self._m_pushes.labels("rejected").inc()
             raise FleetProtocolError(
                 f"undecodable push for shard {shard_id}: {exc}"
@@ -444,7 +432,6 @@ class FleetCoordinator:
             if shard_id in self._completed:
                 # First push won already (the lease expired and another
                 # worker finished the reassigned shard first).
-                self.pushes_stale += 1
                 self._m_pushes.labels("stale").inc()
                 return {"status": "stale"}
             # Chaos point: an ``error`` plan aborts between pushes (the
@@ -455,13 +442,12 @@ class FleetCoordinator:
             self._completed[shard_id] = record
             lease = self._leases.pop(shard_id, None)
             self.plan.commit(shard_id, record)
-            self.pushes_accepted += 1
+            self._m_pushes.labels("accepted").inc()
             if record.wall_s > 0:
                 self._shard_wall[shard_id] = record.wall_s
             worker = lease.worker if lease is not None else "?"
             self._worker_pushes[worker] = self._worker_pushes.get(worker, 0) + 1
             done = len(self._completed) == len(self.shards)
-        self._m_pushes.labels("accepted").inc()
         if record.wall_s > 0:
             self._m_shard_seconds.labels().observe(record.wall_s)
         _log.info(
@@ -530,17 +516,7 @@ class FleetCoordinator:
                 for lease in sorted(self._leases.values(), key=lambda l: l.shard_id)
             ]
         return {
-            "protocol": FLEET_PROTOCOL_VERSION,
-            "epoch": self.epoch,
-            "role": self.role,
-            "fingerprint": self.fingerprint,
-            "shards": len(self.shards),
-            "shard_side": self.shard_side,
-            "layer": self.layer,
-            "lease_ttl_s": self.options.lease_ttl_s,
-            "request_id": self.request_id,
-            "cache_urls": list(self.options.cache_urls),
-            "trace": bool(self.options.trace),
+            **self.config_document(),
             "completed": completed,
             "leases": leases,
             "done": self._done.is_set(),
@@ -740,6 +716,15 @@ class FleetCoordinator:
             walls = sorted(self._shard_wall.values())
             reports = {name: dict(doc) for name, doc in self._worker_reports.items()}
             pushes = dict(self._worker_pushes)
+            # Read under the lock that guards the lease and push state
+            # these count, so no lease is ever gone but not yet counted.
+            counts = {
+                "leases_granted": self._m_leases.count("granted"),
+                "leases_expired": self._m_leases.count("expired"),
+                "pushes_accepted": self._m_pushes.count("accepted"),
+                "pushes_stale": self._m_pushes.count("stale"),
+                "pushes_rejected": self._m_pushes.count("rejected"),
+            }
         durations: dict = {"count": len(walls)}
         if walls:
             durations.update(
@@ -785,12 +770,8 @@ class FleetCoordinator:
             "leased": leased,
             "pending": pending,
             "resumed": len(self.plan.reused),
-            "stale_epoch_fenced": self.stale_epoch_fenced,
-            "leases_granted": self.leases_granted,
-            "leases_expired": self.leases_expired,
-            "pushes_accepted": self.pushes_accepted,
-            "pushes_stale": self.pushes_stale,
-            "pushes_rejected": self.pushes_rejected,
+            "stale_epoch_fenced": self._m_stale_epoch.count(),
+            **counts,
             "reassigned_shards": {
                 str(k): v for k, v in sorted(self.reassignments.items())
             },
@@ -914,12 +895,8 @@ def _merged_cache_stats(reports) -> dict:
         cache = report.get("cache") or {}
         totals["remote_hits"] += int(cache.get("remote_hits", 0))
         totals["remote_corrupt"] += int(cache.get("remote_corrupt", 0))
-        if "remote_store_gets" in cache:
-            gets = int(cache.get("remote_store_gets", 0))
-            hits = int(cache.get("remote_store_hits", 0))
-        else:  # older worker: derive from the tier counters
-            hits = int(cache.get("remote_hits", 0))
-            gets = int(cache.get("feature_misses", 0))
+        gets = int(cache.get("remote_store_gets", 0))
+        hits = int(cache.get("remote_store_hits", 0))
         totals["remote_misses"] += max(0, gets - hits)
         for key in (
             "remote_rpcs", "remote_batch_rpcs", "remote_repairs",

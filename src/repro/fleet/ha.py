@@ -86,7 +86,6 @@ class StandbyCoordinator:
         self.failed: Optional[str] = None
         self.primary_epoch = 0
         self.primary_done = False
-        self.mirrored = 0
         self.missed_probes = 0
         self._promote_lock = threading.Lock()
         self._stop = threading.Event()
@@ -220,7 +219,6 @@ class StandbyCoordinator:
                 continue  # digest-rejected transfer; next tick retries
             record = decode_shard_record(payload, shard_id)
             if self.inner.absorb_replicated(record):
-                self.mirrored += 1
                 self._m_mirrored.labels().inc()
 
     # ------------------------------------------------------------------
@@ -242,7 +240,7 @@ class StandbyCoordinator:
         _log.warning(
             "standby_promoted",
             epoch=epoch,
-            mirrored=self.mirrored,
+            mirrored=self._m_mirrored.count(),
             pending=len(self.inner._pending),
         )
         return True
@@ -272,7 +270,7 @@ class StandbyCoordinator:
                     "role": "standby",
                     "epoch": self.inner.epoch,
                     "primary_epoch": self.primary_epoch,
-                    "mirrored": self.mirrored,
+                    "mirrored": self._m_mirrored.count(),
                     "missed_probes": self.missed_probes,
                 },
                 JSON_TYPE,
@@ -282,7 +280,7 @@ class StandbyCoordinator:
         if method == "GET" and bare == "/fleet/v1/status":
             document = self.inner.status()
             document["primary_epoch"] = self.primary_epoch
-            document["mirrored"] = self.mirrored
+            document["mirrored"] = self._m_mirrored.count()
             document["missed_probes"] = self.missed_probes
             return 200, document, JSON_TYPE
         if method == "GET" and bare == "/fleet/v1/replicate":

@@ -164,12 +164,8 @@ class CacheServer:
     """
 
     def __init__(self, store: Optional[CacheStore] = None) -> None:
-        self.store = store or MemoryCacheStore()
-        self.gets = 0
-        self.hits = 0
-        self.puts = 0
+        self.store = MemoryCacheStore() if store is None else store
         self.batches = 0
-        self.rejected_corrupt = 0
         self.metrics = MetricsRegistry()
         self._m_ops = self.metrics.counter(
             "fleet_cache_ops_total",
@@ -212,22 +208,18 @@ class CacheServer:
             return 404, {"error": f"no route {path!r}"}, JSON_TYPE
         kind, fingerprint, key = blob_key
         if method == "GET":
-            self.gets += 1
             blob = self.store.get(kind, fingerprint, key)
             if blob is None:
                 self._m_ops.labels("miss").inc()
                 return 404, {"error": "miss"}, JSON_TYPE
-            self.hits += 1
             self._m_ops.labels("hit").inc()
             return 200, self._serve_blob(blob, key), BLOB_TYPE
         if method == "PUT":
             # Server-side digest check: a corrupt upload never lands.
             if open_blob(body) is None:
-                self.rejected_corrupt += 1
                 self._m_ops.labels("rejected_corrupt").inc()
                 return 400, {"error": "corrupt blob envelope"}, JSON_TYPE
             self.store.put(kind, fingerprint, key, body)
-            self.puts += 1
             self._m_ops.labels("put").inc()
             return 200, {"status": "ok"}, JSON_TYPE
         return 405, {"error": f"method {method} not allowed"}, JSON_TYPE
@@ -242,12 +234,10 @@ class CacheServer:
         hit_blobs: list[bytes] = []
         for entry in document.get("gets") or []:
             kind, fingerprint, key = (str(part) for part in entry)
-            self.gets += 1
             blob = self.store.get(kind, fingerprint, key)
             if blob is None:
                 self._m_ops.labels("miss").inc()
                 continue
-            self.hits += 1
             self._m_ops.labels("hit").inc()
             hit_keys.append([kind, fingerprint, key])
             hit_blobs.append(self._serve_blob(blob, key))
@@ -256,12 +246,10 @@ class CacheServer:
         for entry, blob in zip(document.get("puts") or [], blobs):
             kind, fingerprint, key = (str(part) for part in entry)
             if open_blob(blob) is None:
-                self.rejected_corrupt += 1
                 put_rejected += 1
                 self._m_ops.labels("rejected_corrupt").inc()
                 continue
             self.store.put(kind, fingerprint, key, blob)
-            self.puts += 1
             put_ok += 1
             self._m_ops.labels("put").inc()
         response = {
@@ -272,15 +260,18 @@ class CacheServer:
         return 200, pack_batch(response, hit_blobs), BLOB_TYPE
 
     def stats(self) -> dict:
+        hits = self._m_ops.count("hit")
+        misses = self._m_ops.count("miss")
+        gets = hits + misses
         return {
-            "gets": self.gets,
-            "hits": self.hits,
-            "misses": self.gets - self.hits,
-            "puts": self.puts,
+            "gets": gets,
+            "hits": hits,
+            "misses": misses,
+            "puts": self._m_ops.count("put"),
             "batches": self.batches,
-            "rejected_corrupt": self.rejected_corrupt,
+            "rejected_corrupt": self._m_ops.count("rejected_corrupt"),
             "entries": len(self.store) if hasattr(self.store, "__len__") else None,
-            "hit_rate": (self.hits / self.gets) if self.gets else 0.0,
+            "hit_rate": (hits / gets) if gets else 0.0,
         }
 
 
@@ -327,34 +318,27 @@ class RemoteCacheStore(CacheStore):
         self.gets = 0
         self.hits = 0
         self.puts = 0
-        self.errors = 0
-        self.rpcs = 0
-        self.batch_rpcs = 0
-        self.repairs = 0
-        self.probes = 0
         self.hints_recorded = 0
         self.hints_flushed = 0
-        self._m_rpcs = None
-        self._m_repairs = None
-        self._m_node_state = None
-        if metrics is not None:
-            self._m_rpcs = metrics.counter(
-                "fleet_cache_client_rpcs_total",
-                "Remote-cache client RPCs by op "
-                "(get / put / batch / probe).",
-                labels=("op",),
-            )
-            self._m_repairs = metrics.counter(
-                "fleet_cache_repairs_total",
-                "Read-repair writes + hint-log flushes to cache nodes.",
-            )
-            self._m_node_state = metrics.gauge(
-                "fleet_cache_node_state",
-                "Cache node liveness (2 up, 1 half-open, 0 down).",
-                labels=("node",),
-            )
-            for url in urls:
-                self._m_node_state.labels(url).set(NODE_STATE_VALUES["up"])
+        if metrics is None:
+            metrics = MetricsRegistry()
+        self._m_rpcs = metrics.counter(
+            "fleet_cache_client_rpcs_total",
+            "Remote-cache client RPCs by op "
+            "(get / put / batch / probe).",
+            labels=("op",),
+        )
+        self._m_repairs = metrics.counter(
+            "fleet_cache_repairs_total",
+            "Read-repair writes + hint-log flushes to cache nodes.",
+        )
+        self._m_node_state = metrics.gauge(
+            "fleet_cache_node_state",
+            "Cache node liveness (2 up, 1 half-open, 0 down).",
+            labels=("node",),
+        )
+        for url in urls:
+            self._m_node_state.labels(url).set(NODE_STATE_VALUES["up"])
 
     # ------------------------------------------------------------------
     # topology
@@ -413,10 +397,7 @@ class RemoteCacheStore(CacheStore):
         return "down"
 
     def _publish_state(self, url: str) -> None:
-        if self._m_node_state is not None:
-            self._m_node_state.labels(url).set(
-                NODE_STATE_VALUES[self._state_of(url)]
-            )
+        self._m_node_state.labels(url).set(NODE_STATE_VALUES[self._state_of(url)])
 
     def _admit(self, url: str) -> bool:
         """Deterministic gate in front of every node use.
@@ -431,7 +412,6 @@ class RemoteCacheStore(CacheStore):
                 return True
             if self._skips[url] >= PROBE_AFTER_SKIPS:
                 self._skips[url] = 0
-                self.probes += 1
                 self._node_probes[url] += 1
                 probe = True
             else:
@@ -439,8 +419,7 @@ class RemoteCacheStore(CacheStore):
                 probe = False
         self._publish_state(url)
         if probe:
-            if self._m_rpcs is not None:
-                self._m_rpcs.labels("probe").inc()
+            self._m_rpcs.labels("probe").inc()
             _log.info("remote_cache_probe", node=url)
         return probe
 
@@ -510,12 +489,10 @@ class RemoteCacheStore(CacheStore):
         if sent:
             with self._lock:
                 self.hints_flushed += len(entries)
-                self.repairs += len(entries)
                 self._node_repairs[url] = (
                     self._node_repairs.get(url, 0) + len(entries)
                 )
-            if self._m_repairs is not None:
-                self._m_repairs.labels().inc(len(entries))
+            self._m_repairs.labels().inc(len(entries))
             _log.info("remote_cache_hints_flushed", node=url,
                       count=len(entries))
 
@@ -533,12 +510,9 @@ class RemoteCacheStore(CacheStore):
                 continue
             try:
                 faults.inject("fleet.cache", op="get", node=url, key=key)
-                self.rpcs += 1
-                if self._m_rpcs is not None:
-                    self._m_rpcs.labels("get").inc()
+                self._m_rpcs.labels("get").inc()
                 status, payload, _ = self._clients[url].request("GET", path)
             except Exception as exc:
-                self.errors += 1
                 self._mark(url, ok=False)
                 unreachable.append(url)
                 _log.warning("remote_cache_get_failed", node=url,
@@ -563,14 +537,11 @@ class RemoteCacheStore(CacheStore):
                 continue
             try:
                 faults.inject("fleet.cache", op="put", node=url, key=key)
-                self.rpcs += 1
-                if self._m_rpcs is not None:
-                    self._m_rpcs.labels("put").inc()
+                self._m_rpcs.labels("put").inc()
                 status, payload, _ = self._clients[url].request(
                     "PUT", path, blob, BLOB_TYPE
                 )
             except Exception as exc:
-                self.errors += 1
                 self._mark(url, ok=False)
                 self._hint(url, kind, fingerprint, key, blob)
                 _log.warning("remote_cache_put_failed", node=url,
@@ -596,24 +567,19 @@ class RemoteCacheStore(CacheStore):
         for url in missed_live:
             try:
                 faults.inject("fleet.cache", op="put", node=url, key=key)
-                self.rpcs += 1
-                if self._m_rpcs is not None:
-                    self._m_rpcs.labels("put").inc()
+                self._m_rpcs.labels("put").inc()
                 status, _, _ = self._clients[url].request(
                     "PUT", path, blob, BLOB_TYPE
                 )
             except Exception:
-                self.errors += 1
                 self._mark(url, ok=False)
                 self._hint(url, kind, fingerprint, key, blob)
                 continue
             self._mark(url, ok=True)
             if status == 200:
                 with self._lock:
-                    self.repairs += 1
                     self._node_repairs[url] = self._node_repairs.get(url, 0) + 1
-                if self._m_repairs is not None:
-                    self._m_repairs.labels().inc()
+                self._m_repairs.labels().inc()
                 _log.info("remote_cache_read_repair", node=url, key=key)
 
     # ------------------------------------------------------------------
@@ -631,15 +597,11 @@ class RemoteCacheStore(CacheStore):
         try:
             faults.inject("fleet.cache", op="batch", node=url,
                           key=f"batch:{len(gets)}g{len(puts)}p")
-            self.rpcs += 1
-            self.batch_rpcs += 1
-            if self._m_rpcs is not None:
-                self._m_rpcs.labels("batch").inc()
+            self._m_rpcs.labels("batch").inc()
             status, payload, _ = self._clients[url].request(
                 "POST", "/cache/v1/batch", body, BLOB_TYPE
             )
         except Exception as exc:
-            self.errors += 1
             self._mark(url, ok=False)
             _log.warning("remote_cache_batch_failed", node=url,
                          error=str(exc))
@@ -720,12 +682,10 @@ class RemoteCacheStore(CacheStore):
         for url, repairs in repair_now.items():
             if self._send_batch_put(url, repairs, record_hints=True):
                 with self._lock:
-                    self.repairs += len(repairs)
                     self._node_repairs[url] = (
                         self._node_repairs.get(url, 0) + len(repairs)
                     )
-                if self._m_repairs is not None:
-                    self._m_repairs.labels().inc(len(repairs))
+                self._m_repairs.labels().inc(len(repairs))
         return results
 
     def _send_batch_put(
@@ -766,22 +726,6 @@ class RemoteCacheStore(CacheStore):
     # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "gets": self.gets,
-                "hits": self.hits,
-                "puts": self.puts,
-                "errors": self.errors,
-                "rpcs": self.rpcs,
-                "batch_rpcs": self.batch_rpcs,
-                "repairs": self.repairs,
-                "probes": self.probes,
-                "hints_pending": sum(len(h) for h in self._hints.values()),
-                "hints_flushed": self.hints_flushed,
-                "nodes": {url: self._failures[url] for url in self.ring.nodes},
-            }
-
     def node_health(self) -> dict:
         """Per-node liveness + repair counters (client's view)."""
         with self._lock:
@@ -800,13 +744,18 @@ class RemoteCacheStore(CacheStore):
 
     def tier_stats(self) -> dict:
         """Extra keys merged into ``HotspotCache.stats_dict()``."""
+        with self._lock:
+            repairs = sum(self._node_repairs.values())
+            probes = sum(self._node_probes.values())
         return {
             "remote_store_gets": self.gets,
             "remote_store_hits": self.hits,
-            "remote_rpcs": self.rpcs,
-            "remote_batch_rpcs": self.batch_rpcs,
-            "remote_repairs": self.repairs,
-            "remote_probes": self.probes,
+            "remote_rpcs": sum(
+                self._m_rpcs.count(op) for op in ("get", "put", "batch")
+            ),
+            "remote_batch_rpcs": self._m_rpcs.count("batch"),
+            "remote_repairs": repairs,
+            "remote_probes": probes,
             "remote_hints_flushed": self.hints_flushed,
             "remote_nodes": self.node_health(),
         }

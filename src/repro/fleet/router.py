@@ -137,12 +137,10 @@ class FleetFrontend:
     """
 
     def __init__(self, members: Optional[MemberTable] = None) -> None:
-        self.members = members or MemberTable()
+        self.members = MemberTable() if members is None else members
         self._rotation = RoundRobin()
         self._clients: dict[str, FleetClient] = {}
         self._clients_lock = threading.Lock()
-        self.forwarded = 0
-        self.failed_over = 0
         self.metrics = MetricsRegistry()
         self._m_proxied = self.metrics.counter(
             "fleet_frontend_requests_total",
@@ -209,8 +207,8 @@ class FleetFrontend:
                     "replicas": len(replicas),
                     "versions": sorted(versions),
                     "version_drift": len(versions) > 1,
-                    "forwarded": self.forwarded,
-                    "failed_over": self.failed_over,
+                    "forwarded": self._m_proxied.count("forwarded"),
+                    "failed_over": self._m_proxied.count("failed_over"),
                 },
                 JSON_TYPE,
             )
@@ -244,12 +242,10 @@ class FleetFrontend:
                 # Dead replica: fall through to the next one and stop
                 # routing to it until its next heartbeat revives it.
                 last_error = str(exc)
-                self.failed_over += index == 0
                 if index == 0:
                     self._m_proxied.labels("failed_over").inc()
                 _log.warning("replica_unreachable", url=url, error=str(exc))
                 continue
-            self.forwarded += 1
             self._m_proxied.labels("forwarded").inc()
             self._m_proxy_seconds.labels().observe(
                 time.perf_counter() - started

@@ -152,10 +152,6 @@ class FleetWorker:
         self.status_server = status_server
         self.rehome_timeout_s = rehome_timeout_s
         self.epoch = 0
-        self.rehomes = 0
-        self.heartbeat_failures = 0
-        self.shards_done = 0
-        self.shards_stale = 0
         self._fingerprint = ""
         self._stop = threading.Event()
         self._server: Optional[FleetHTTPServer] = None
@@ -203,8 +199,8 @@ class FleetWorker:
     def _stats(self) -> dict:
         """Self-report shipped with every lease/heartbeat request."""
         stats = {
-            "shards_done": self.shards_done,
-            "shards_stale": self.shards_stale,
+            "shards_done": self._m_shards.count("done"),
+            "shards_stale": self._m_shards.count("stale"),
         }
         cache = getattr(self.detector, "cache_", None)
         if cache is not None:
@@ -274,7 +270,6 @@ class FleetWorker:
 
     def _rehome(self, reason: str) -> dict:
         """Locate the current leader again after losing this one."""
-        self.rehomes += 1
         self._m_rehomes.labels(reason).inc()
         _log.warning(
             "worker_rehoming", worker=self.worker_id, reason=reason,
@@ -426,10 +421,10 @@ class FleetWorker:
                 self._server = None
         summary = {
             "worker": self.worker_id,
-            "shards_done": self.shards_done,
-            "shards_stale": self.shards_stale,
-            "rehomes": self.rehomes,
-            "heartbeat_failures": self.heartbeat_failures,
+            "shards_done": self._m_shards.count("done"),
+            "shards_stale": self._m_shards.count("stale"),
+            "rehomes": self._m_rehomes.count(),
+            "heartbeat_failures": self._m_heartbeat_failures.count(),
         }
         _log.info("worker_finished", **summary)
         return summary
@@ -483,7 +478,6 @@ class FleetWorker:
                     # The lease may survive a coordinator blip, but a
                     # flapping coordinator must be visible before leases
                     # start expiring.
-                    self.heartbeat_failures += 1
                     self._m_heartbeat_failures.labels().inc()
                     _log.warning(
                         "heartbeat_failed", worker=self.worker_id,
@@ -523,7 +517,6 @@ class FleetWorker:
         if lost.is_set():
             # The coordinator reassigned this shard; pushing anyway is
             # harmless (first push wins) but skipping saves the transfer.
-            self.shards_stale += 1
             self._m_shards.labels("stale").inc()
             _log.warning("lease_lost", shard=shard_id, worker=self.worker_id)
             return
@@ -542,7 +535,6 @@ class FleetWorker:
             # result: the next lease RPC re-homes, and whoever leads
             # next re-leases this shard — first push wins keeps it
             # single-counted.
-            self.shards_stale += 1
             self._m_shards.labels("stale").inc()
             _log.warning(
                 "push_unreachable", shard=shard_id, worker=self.worker_id
@@ -553,7 +545,6 @@ class FleetWorker:
             # the lease alive; the reaper will reassign the shard, so
             # dropping it here is safe — and retrying the whole lease
             # loop is the worker's only job anyway.
-            self.shards_stale += 1
             self._m_shards.labels("stale").inc()
             _log.warning(
                 "push_rejected", shard=shard_id, status=status,
@@ -561,10 +552,8 @@ class FleetWorker:
             )
             return
         if answer.get("status") == "stale":
-            self.shards_stale += 1
             self._m_shards.labels("stale").inc()
         else:
-            self.shards_done += 1
             self._m_shards.labels("done").inc()
         # Ship the spans this shard produced while the trace is fresh —
         # a worker killed mid-scan has already shipped everything up to

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from pathlib import Path as FsPath
-from typing import Optional, Union
+from typing import Union
 
 from repro.errors import GdsiiError
 from repro.gdsii.library import (
@@ -58,13 +58,9 @@ class _StreamReader:
         #: Offset of the most recently decoded record (error context).
         self.last_offset = 0
         self._library = GdsLibrary()
-        self._pushback: Optional[Record] = None
 
     # -- record cursor -------------------------------------------------
     def _next(self) -> Record:
-        if self._pushback is not None:
-            record, self._pushback = self._pushback, None
-            return record
         if self._done or self._offset >= len(self._data):
             raise GdsiiError("unexpected end of record stream")
         self.last_offset = self._offset
@@ -72,9 +68,6 @@ class _StreamReader:
         if record.rtype is RecordType.ENDLIB:
             self._done = True
         return record
-
-    def _push(self, record: Record) -> None:
-        self._pushback = record
 
     def _expect(self, rtype: RecordType) -> Record:
         record = self._next()

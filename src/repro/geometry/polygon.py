@@ -30,10 +30,6 @@ class Edge:
     def is_vertical(self) -> bool:
         return self.start.x == self.end.x
 
-    @property
-    def length(self) -> int:
-        return self.start.manhattan_distance(self.end)
-
     def bbox(self) -> tuple[int, int, int, int]:
         """Degenerate bounding extent ``(x0, y0, x1, y1)`` of the segment."""
         return (

@@ -29,10 +29,9 @@ tally is observed into one ``pipeline_stage_seconds{stage=...}``
 histogram family, so a serving process with tracing on exposes per-stage
 latency through ``GET /metrics``.
 
-Exports: :meth:`Tracer.export_chrome` emits the Chrome
+Export: :meth:`Tracer.export_chrome` emits the Chrome
 ``chrome://tracing`` / Perfetto event format (``ph: "X"`` complete
-events, microsecond timestamps); :meth:`Tracer.export_json` a plain
-span dump for programmatic diffing.
+events, microsecond timestamps).
 """
 
 from __future__ import annotations
@@ -307,29 +306,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
-    def export_json(self) -> dict:
-        """Plain span dump: one dict per span, parent-linked by id."""
-        return {
-            "epoch_unix": self.epoch_unix,
-            "dropped": self.dropped,
-            "spans": [
-                {
-                    "id": s.span_id,
-                    "parent": s.parent_id,
-                    "name": s.name,
-                    "thread": s.thread_id,
-                    "start_s": round(s.start_offset_s, 6),
-                    "wall_s": round(s.wall_s, 6),
-                    "cpu_s": round(s.cpu_s, 6),
-                    "status": s.status,
-                    "error": s.error,
-                    "attrs": s.attrs,
-                }
-                for s in self.finished()
-            ],
-            "tallies": self.stage_totals(),
-        }
-
     def export_chrome(self) -> dict:
         """The Chrome ``chrome://tracing`` / Perfetto event document."""
         pid = os.getpid()

@@ -60,9 +60,7 @@ from __future__ import annotations
 import json
 import os
 import signal
-import socket
 import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -213,14 +211,6 @@ class DrillReport:
         }
 
 
-def _free_port() -> int:
-    """A port the OS calls free now; it closes the probe, so it may offer
-    the same port again before a role binds it."""
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
 class ChaosDrill:
     """Run one fleet topology under a :class:`DrillSchedule`."""
 
@@ -264,14 +254,10 @@ class ChaosDrill:
         self._ports: set[int] = set()
 
     def _port(self) -> int:
-        """A free port no role of this drill was handed before: each
-        role binds its port only once its process starts, so a probe may
-        draw a port already handed out."""
-        port = _free_port()
-        while port in self._ports:
-            port = _free_port()
-        self._ports.add(port)
-        return port
+        """A free port no role of this drill was handed before."""
+        from repro.fleet.launch import free_port
+
+        return free_port(self._ports)
 
     # ------------------------------------------------------------------
     def run(self) -> DrillReport:
@@ -361,6 +347,8 @@ class ChaosDrill:
         report.cache_nodes = list(self._cache_urls)
 
     def _spawn(self, role: str, command: list, log_name: str) -> None:
+        from repro.fleet.launch import spawn
+
         env = dict(os.environ)
         env.pop("REPRO_FAULTS", None)
         plan = self.schedule.spawn_faults(role)
@@ -368,70 +356,61 @@ class ChaosDrill:
             env["REPRO_FAULTS"] = plan
         log_path = self.workdir / f"drill-{log_name}.log"
         stream = open(log_path, "w")
-        self._procs[role] = subprocess.Popen(
-            [sys.executable, "-m", "repro", *command],
-            env=env,
-            stdout=stream,
-            stderr=subprocess.STDOUT,
+        self._procs[role] = spawn(
+            command, env=env, stdout=stream, stderr=subprocess.STDOUT
         )
 
+    def _trace_path(self, report: DrillReport, role: str, suffix: str):
+        """Where a traced drill's coordinator writes its merged trace."""
+        if not self.trace:
+            return None
+        path = self.workdir / f"drill-trace-{role}{suffix}.json"
+        report.artifacts[f"trace_{role}{suffix}"] = str(path)
+        return path
+
     def _launch(self, report: DrillReport, scan_index: int = 0) -> None:
+        from repro.fleet.launch import RoleLauncher
+
         self.workdir.mkdir(parents=True, exist_ok=True)
         ports = {"primary": self._port(), "standby": self._port()}
         suffix = f"-s{scan_index}" if scan_index else ""
+        launcher = RoleLauncher(
+            self.model_path, self.layout_path, self.layer, self.lease_ttl_s,
+            self.shard_side, list(self._cache_urls),
+        )
         self._urls["primary"] = f"http://127.0.0.1:{ports['primary']}"
-        coordinator_args = [
-            "--model", str(self.model_path),
-            "--layout", str(self.layout_path),
-            "--layer", str(self.layer),
-            "--lease-ttl", str(self.lease_ttl_s),
-        ]
-        if self.shard_side is not None:
-            coordinator_args += ["--shard-side", str(self.shard_side)]
-        for url in self._cache_urls:
-            coordinator_args += ["--cache-url", url]
-        primary_args = [
-            "fleet-coordinator", *coordinator_args,
-            "--port", str(ports["primary"]),
-            "--journal-dir", str(self._journal_dir("primary", scan_index)),
-        ]
-        if self.trace:
-            trace_path = self.workdir / f"drill-trace-primary{suffix}.json"
-            primary_args += ["--trace", str(trace_path)]
-            report.artifacts[f"trace_primary{suffix}"] = str(trace_path)
-        self._spawn("primary", primary_args, f"primary{suffix}")
+        self._spawn(
+            "primary",
+            launcher.coordinator(
+                ports["primary"],
+                self._journal_dir("primary", scan_index),
+                trace=self._trace_path(report, "primary", suffix),
+            ),
+            f"primary{suffix}",
+        )
         self._wait_healthy(self._urls["primary"], "primary coordinator")
 
         endpoints = [self._urls["primary"]]
         if self.standby:
             self._urls["standby"] = f"http://127.0.0.1:{ports['standby']}"
-            standby_args = [
-                "fleet-coordinator", *coordinator_args,
-                "--port", str(ports["standby"]),
-                "--journal-dir", str(self._journal_dir("standby", scan_index)),
-                "--standby-of", self._urls["primary"],
-                "--probe-interval", str(self.probe_interval_s),
-            ]
-            if self.trace:
-                trace_path = self.workdir / f"drill-trace-standby{suffix}.json"
-                standby_args += ["--trace", str(trace_path)]
-                report.artifacts[f"trace_standby{suffix}"] = str(trace_path)
-            self._spawn("standby", standby_args, f"standby{suffix}")
+            self._spawn(
+                "standby",
+                launcher.coordinator(
+                    ports["standby"],
+                    self._journal_dir("standby", scan_index),
+                    standby_of=self._urls["primary"],
+                    probe_interval_s=self.probe_interval_s,
+                    trace=self._trace_path(report, "standby", suffix),
+                ),
+                f"standby{suffix}",
+            )
             endpoints.append(self._urls["standby"])
         self._endpoints = endpoints
 
         for index in range(self.workers):
             role = f"worker-{index}"
             self._spawn(
-                role,
-                [
-                    "fleet-worker",
-                    "--url", ",".join(endpoints),
-                    "--model", str(self.model_path),
-                    "--layout", str(self.layout_path),
-                    "--worker-id", f"drill-{role}",
-                ],
-                f"{role}{suffix}",
+                role, launcher.worker(endpoints, f"drill-{role}"), f"{role}{suffix}"
             )
 
     # ------------------------------------------------------------------
@@ -771,9 +750,10 @@ class ServeFleetDrill(ChaosDrill):
         for index in range(self.replicas):
             role = f"replica-{index}"
             self._wait_healthy(self._urls[role], f"serve replica {role}")
-        # The frontend reports healthy once one replica registered, but a
-        # replica that found it not yet listening retries only a TTL/3
-        # later; the schedule may kill the registered one, so wait for all.
+        # The frontend reports healthy once one replica registered; a
+        # replica that found it not yet listening registers on a retry
+        # (0.1 s, doubling). The schedule may kill the registered one, so
+        # wait for all.
         self._wait_healthy(frontend_url, "serve frontend", replicas=self.replicas)
         report.leader = "frontend"
 

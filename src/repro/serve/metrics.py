@@ -498,6 +498,16 @@ class _Bound:
     def labels(self, *values: object) -> object:
         return self._family.child(tuple(str(v) for v in values))
 
+    def count(self, *values: object) -> int:
+        """Events counted by the children whose labels start with ``values``.
+
+        A read only: it creates no child, so ``render()`` is unchanged.
+        """
+        prefix = tuple(str(v) for v in values)
+        with self._family.lock:
+            children = list(self._family.children.items())
+        return int(sum(c.value for k, c in children if k[: len(prefix)] == prefix))
+
 
 class Timer:
     """Context manager feeding elapsed seconds to a histogram child."""

@@ -68,7 +68,9 @@ class ServeService:
         #: Shared across every loaded model version: a clip geometry seen
         #: by any request warms features/margins for all later requests.
         self.cache = cache
-        self.registry = registry or ModelRegistry(metrics=self.metrics, cache=cache)
+        if registry is None:
+            registry = ModelRegistry(metrics=self.metrics, cache=cache)
+        self.registry = registry
         if self.registry.metrics is None:
             self.registry.metrics = self.metrics
         if self.registry.cache is None and cache is not None:

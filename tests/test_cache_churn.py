@@ -91,14 +91,14 @@ class TestHalfOpenRecovery:
         # While down, uses are skipped without ever reaching the server.
         for _ in range(PROBE_AFTER_SKIPS):
             assert store.get("margins", "fp", "key") is None
-        assert app.gets == 0
+        assert app.stats()["gets"] == 0
 
         # The next use is the recovery probe.  It answers (a miss — the
         # put never landed), which re-opens the node and flushes the
         # hinted put back to it; traffic flows again.
         assert store.get("margins", "fp", "key") is None
         assert store.node_health()[url]["state"] == "up"
-        assert store.probes == 1
+        assert store.tier_stats()["remote_probes"] == 1
         assert store.hints_flushed == 1
         assert store.get("margins", "fp", "key") == BLOB
         assert store.hits == 1
@@ -115,12 +115,12 @@ class TestHalfOpenRecovery:
                 store.get("margins", "fp", "key")
             # Probe fires into the still-failing node: re-armed, down.
             assert store.get("margins", "fp", "key") is None
-        assert store.probes == 1
+        assert store.tier_stats()["remote_probes"] == 1
         assert store.node_health()[url]["state"] == "down"
         # A full skip cycle later the *second* probe finds it healed.
         for _ in range(PROBE_AFTER_SKIPS + 1):
             store.get("margins", "fp", "key")
-        assert store.probes == 2
+        assert store.tier_stats()["remote_probes"] == 2
         assert store.node_health()[url]["state"] == "up"
 
     def test_all_down_tier_turns_healthy_to_fire_the_probe(self):
@@ -142,7 +142,7 @@ class TestReplication:
         (app0, url0), (app1, url1) = two_nodes
         store = RemoteCacheStore([url0, url1])
         store.put("margins", "fp", "key", BLOB)
-        assert app0.puts == 1 and app1.puts == 1
+        assert app0.stats()["puts"] == 1 and app1.stats()["puts"] == 1
         assert store.puts == 2
 
     def test_get_falls_through_to_the_surviving_replica(self, two_nodes):
@@ -162,7 +162,7 @@ class TestReplication:
         primary_app = app0 if primary == url0 else app1
         primary_app.store._blobs.clear()
         assert store.get("margins", "fp", "key") == BLOB
-        assert store.repairs == 1
+        assert store.tier_stats()["remote_repairs"] == 1
         # The hole is healed: the primary answers by itself again.
         assert len(primary_app.store) == 1
         assert store.get("margins", "fp", "key") == BLOB
@@ -206,8 +206,8 @@ class TestBatchProtocol:
         store.put_many(entries)
         # RF=2 on a 2-node ring: every node holds every key, and each
         # node saw exactly ONE batch RPC for all 16 puts.
-        assert store.batch_rpcs == 2
-        assert app0.puts == app1.puts == 16
+        assert store.tier_stats()["remote_batch_rpcs"] == 2
+        assert app0.stats()["puts"] == app1.stats()["puts"] == 16
         assert app0.batches == app1.batches == 1
 
         found = store.get_many([(k, f, key) for (k, f, key, _) in entries])
@@ -215,8 +215,9 @@ class TestBatchProtocol:
         assert found[("margins", "fp", "k3")] == entries[3][3]
         # The multi-get grouped by primary replica: at most one more
         # batch RPC per node.
-        assert store.batch_rpcs <= 4
-        assert app0.batches + app1.batches == store.batch_rpcs
+        batch_rpcs = store.tier_stats()["remote_batch_rpcs"]
+        assert batch_rpcs <= 4
+        assert app0.batches + app1.batches == batch_rpcs
 
     def test_get_many_falls_through_and_read_repairs_in_batch(self, two_nodes):
         (app0, url0), (app1, url1) = two_nodes
@@ -230,8 +231,9 @@ class TestBatchProtocol:
         found = store.get_many([(k, f, key) for (k, f, key, _) in entries])
         assert len(found) == 16
         # Every key whose primary was the wiped node was repaired back.
-        assert store.repairs > 0
-        assert len(app0.store) == store.repairs
+        repairs = store.tier_stats()["remote_repairs"]
+        assert repairs > 0
+        assert len(app0.store) == repairs
 
     def test_batch_put_rejects_corrupt_blobs_individually(self, cache_node):
         app, url = cache_node
@@ -243,8 +245,8 @@ class TestBatchProtocol:
                 ("margins", "fp", "bad", rotten),
             ]
         )
-        assert app.puts == 1
-        assert app.rejected_corrupt == 1
+        assert app.stats()["puts"] == 1
+        assert app.stats()["rejected_corrupt"] == 1
         assert store.get("margins", "fp", "good") == BLOB
         assert store.get("margins", "fp", "bad") is None
 
@@ -259,14 +261,14 @@ class TestMembershipChange:
         keys = [f"k{i}" for i in range(24)]
         for key in keys:
             store.put("margins", "fp", key, BLOB)
-        assert app0.puts == 24
+        assert app0.stats()["puts"] == 24
 
         assert store.add_node(url1)
         assert not store.add_node(url1)  # idempotent
         for key in keys:
             store.put("margins", "fp", key, BLOB)
         # RF=2 on two nodes: the joiner now holds every key too.
-        assert app1.puts == 24
+        assert app1.stats()["puts"] == 24
         for key in keys:
             assert store.get("margins", "fp", key) == BLOB
 
@@ -282,7 +284,7 @@ class TestMembershipChange:
         # node serves immediately.
         assert store.node_health()[dead]["state"] == "down"
         store.put("margins", "fp", "key", BLOB)
-        assert app.puts == 1
+        assert app.stats()["puts"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -295,21 +297,22 @@ class TestHotspotCachePlumbing:
         cache = HotspotCache(stores=[store], write_behind=True)
         for i in range(6):
             cache.put_margins("fp", f"key{i}", np.array([float(i)]))
-        assert app0.puts + app1.puts == 0  # buffered, nothing on the wire
+        # Buffered, nothing on the wire.
+        assert app0.stats()["puts"] + app1.stats()["puts"] == 0
         cache.flush()
-        assert app0.puts + app1.puts == 12  # 6 keys x RF=2
-        assert store.batch_rpcs == 2
+        assert app0.stats()["puts"] + app1.stats()["puts"] == 12  # 6 keys x RF=2
+        assert store.tier_stats()["remote_batch_rpcs"] == 2
 
         cache.clear_memory()
         warmed = cache.prefetch("margins", "fp", [f"key{i}" for i in range(8)])
         assert warmed == 6
-        rpcs_after_prefetch = store.rpcs
+        rpcs_after_prefetch = store.tier_stats()["remote_rpcs"]
         # Hits serve from memory; the two prefetched-absent keys are
         # remembered and do not pay one RPC each.
         assert np.array_equal(cache.get_margins("fp", "key3"), [3.0])
         assert cache.get_margins("fp", "key6") is None
         assert cache.get_margins("fp", "key7") is None
-        assert store.rpcs == rpcs_after_prefetch
+        assert store.tier_stats()["remote_rpcs"] == rpcs_after_prefetch
 
     def test_corrupt_serving_node_is_a_counted_miss(self, cache_node):
         app, url = cache_node
@@ -363,7 +366,7 @@ class TestFleetThroughChurningTier:
         assert cache["remote_corrupt"] == 0
         assert cache["nodes"][dead]["state"] in ("down", "half_open", "up")
         # The live node took writes despite its dead ring neighbour.
-        assert app0.puts > 0
+        assert app0.stats()["puts"] > 0
 
     def test_warm_rescan_hits_the_surviving_tier(
         self, detached, small_benchmark, two_nodes
@@ -469,7 +472,7 @@ def test_stopped_then_continued_cache_node_is_readmitted(tmp_path):
         ]
         assert results[:PROBE_AFTER_SKIPS] == [None] * PROBE_AFTER_SKIPS
         assert results[-1] == BLOB
-        assert store.probes == 1
+        assert store.tier_stats()["remote_probes"] == 1
         assert store.node_health()[url]["state"] == "up"
     finally:
         if proc.poll() is None:
@@ -520,18 +523,15 @@ class TestDrillDsl:
 
 
 class TestDrillPorts:
-    def test_a_repeated_probe_port_is_drawn_again(self, tmp_path, monkeypatch):
+    def test_a_repeated_probe_port_is_drawn_again(self, monkeypatch):
         """The probe closes its socket before a role binds the port, so
-        the OS may offer one port twice; the drill hands it out once."""
-        from repro.resilience import drill as drill_module
+        the OS may offer one port twice; the draw hands it out once."""
+        from repro.fleet import launch
 
         drawn = iter([8101, 8101, 8102, 8101, 8102, 8103])
-        monkeypatch.setattr(drill_module, "_free_port", lambda: next(drawn))
-        drill = drill_module.ServeFleetDrill(
-            tmp_path / "model.npz",
-            tmp_path / "layout.gds",
-            DrillSchedule.parse(""),
-            workdir=tmp_path,
-        )
-        assert [drill._port() for _ in range(3)] == [8101, 8102, 8103]
+        monkeypatch.setattr(launch, "_probe_port", lambda: next(drawn))
+        handed_out: set[int] = set()
+        ports = [launch.free_port(handed_out) for _ in range(3)]
+        assert ports == [8101, 8102, 8103]
+        assert handed_out == {8101, 8102, 8103}
         assert next(drawn, None) is None

@@ -148,7 +148,7 @@ class TestOnePlanForLocalAndFleetScans:
         assert len(coordinator.shards) == local.shards_total > 1
         assert coordinator.wait(timeout=0)  # nothing left to lease
         scan = coordinator.result()
-        assert coordinator.leases_granted == 0
+        assert coordinator.status()["leases_granted"] == 0
         assert scan.shards_resumed == scan.shards_total
         assert scan.anchors == local.extraction.anchors
         assert np.array_equal(scan.margins, local.extraction.margins)
@@ -228,7 +228,7 @@ class TestFleetDifferential:
         assert status["pushes_rejected"] == 0
         # Every worker leased at least once against a non-trivial layout.
         assert status["leases_granted"] >= status["shards"]
-        assert sum(w.shards_done for w in workers) == status["shards"]
+        assert sum(w._m_shards.count("done") for w in workers) == status["shards"]
 
     def test_worker_death_mid_lease_reassigned_exactly_once(
         self, detached, small_benchmark
@@ -262,8 +262,9 @@ class TestFleetDifferential:
             scan = coordinator.result()
 
         assert coordinator.reassignments == {stuck_shard: 1}
-        assert coordinator.leases_expired == 1
-        assert coordinator.pushes_accepted == len(coordinator.shards)
+        status = coordinator.status()
+        assert status["leases_expired"] == 1
+        assert status["pushes_accepted"] == len(coordinator.shards)
         assert_identical(
             baseline, signature(detached, detached.detect(layout, scan=scan))
         )
@@ -409,6 +410,35 @@ class TestFleetObservability:
         assert status == 409
         assert headers["X-Request-Id"] == "rid-409"
 
+    def test_fleet_status_renders_remote_repairs_and_probes(self, capsys):
+        from repro.cli import _render_fleet_status
+        from repro.fleet.coordinator import _merged_cache_stats
+
+        report = {
+            "remote_hits": 5,
+            "remote_store_gets": 8,
+            "remote_store_hits": 5,
+            "remote_repairs": 3,
+            "remote_probes": 2,
+        }
+        cache = _merged_cache_stats([{"cache": report}])
+        _render_fleet_status({"cache": cache}, "http://coordinator")
+        out = capsys.readouterr().out
+        assert "5 hits / 3 misses (rate 0.62), 3 repairs, 2 probes" in out
+
+    def test_local_cache_misses_are_not_remote_misses(self, tmp_path):
+        # A worker with a local --cache-dir and no cache nodes reports its
+        # tier counters but no remote-store lookups.
+        from repro.fleet.coordinator import _merged_cache_stats
+
+        cache = HotspotCache(directory=tmp_path)
+        for key in ("a", "b", "c"):
+            assert cache.get_features("fp", key) is None
+        assert cache.stats_dict()["feature_misses"] == 3
+        merged = _merged_cache_stats([{"cache": cache.stats_dict()}])
+        assert merged["remote_misses"] == 0
+        assert merged["hit_rate"] == 0.0
+
     def test_cache_node_serves_metrics(self, cache_node):
         app, url = cache_node
         client = FleetClient(url)
@@ -469,7 +499,7 @@ class TestLeaseProtocol:
             # Corrupt envelope: rejected with 400, shard stays incomplete.
             status, _ = client.post_blob(push_path, b"not an RPCB1 envelope")
             assert status == 400
-            assert coordinator.pushes_rejected == 1
+            assert coordinator.status()["pushes_rejected"] == 1
             assert coordinator.status()["completed"] == 0
 
             # A tampered-payload envelope (valid magic, wrong digest) too.
@@ -485,15 +515,16 @@ class TestLeaseProtocol:
             tampered = blob[:-1] + bytes([blob[-1] ^ 0xFF])
             status, _ = client.post_blob(push_path, tampered)
             assert status == 400
-            assert coordinator.pushes_rejected == 2
+            assert coordinator.status()["pushes_rejected"] == 2
 
             # The intact push lands; a duplicate is acknowledged stale.
             status, answer = client.post_blob(push_path, blob)
             assert (status, answer["status"]) == (200, "ok")
             status, answer = client.post_blob(push_path, blob)
             assert (status, answer["status"]) == (200, "stale")
-            assert coordinator.pushes_accepted == 1
-            assert coordinator.pushes_stale == 1
+            document = coordinator.status()
+            assert document["pushes_accepted"] == 1
+            assert document["pushes_stale"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -512,7 +543,7 @@ class TestRemoteCache:
         row = np.array([0.5, -1.25, 3.0])
         writer = HotspotCache(stores=[RemoteCacheStore([url])])
         writer.put_margins("fp", "key", row)
-        assert app.puts == 1
+        assert app.stats()["puts"] == 1
 
         reader = HotspotCache(stores=[RemoteCacheStore([url])])
         assert np.array_equal(reader.get_margins("fp", "key"), row)
@@ -534,13 +565,19 @@ class TestRemoteCache:
         assert stats["remote_corrupt"] == 1
         assert stats["margin_misses"] == 1
 
+    def test_cache_server_keeps_the_store_it_is_given(self):
+        # An empty store is falsy (it has a length); it must still be the
+        # one the server fills, so `fleet-cache --max-entries` holds.
+        store = MemoryCacheStore(max_entries=7)
+        assert CacheServer(store).store is store
+
     def test_server_rejects_corrupt_put(self, cache_node):
         app, url = cache_node
         status, payload, _ = FleetClient(url).request(
             "PUT", "/cache/v1/margins/fp/key", b"garbage", BLOB_TYPE
         )
         assert status == 400
-        assert app.rejected_corrupt == 1
+        assert app.stats()["rejected_corrupt"] == 1
         assert len(app.store) == 0
 
     def test_unreachable_node_degrades_to_miss(self):
@@ -549,7 +586,7 @@ class TestRemoteCache:
         cache.put_margins("fp", "key", np.array([1.0]))
         cache.clear_memory()  # force the read through the remote tier
         assert cache.get_margins("fp", "key") is None
-        assert store.errors >= 2
+        assert store.node_health()["http://127.0.0.1:9"]["errors"] >= 2
         # Enough consecutive failures mark the lone node (and tier) down.
         assert cache.get_margins("fp", "key") is None
         assert not store.healthy()
@@ -695,6 +732,12 @@ class TestFrontend:
         assert headers["X-Request-Id"] == "rid-proxy"
         assert "fleet_frontend_requests_total" in frontend.metrics.render()
 
+    def test_frontend_keeps_the_member_table_it_is_given(self):
+        # An empty table is falsy (it has a length); it must still be the
+        # one the front end uses, so `fleet-frontend --member-ttl` holds.
+        members = MemberTable(ttl_s=3.0)
+        assert FleetFrontend(members).members is members
+
     def test_no_replicas_is_503(self):
         frontend = FleetFrontend(MemberTable())
         with FleetHTTPServer(frontend) as front:
@@ -758,17 +801,21 @@ def fleet_workdir(fitted, small_benchmark, tmp_path_factory):
     return path
 
 
-def _run_cli(arguments, cwd, extra_env=None):
+def _cli_env(extra_env=None):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     env.pop(faults.ENV_VAR, None)
     if extra_env:
         env.update(extra_env)
+    return env
+
+
+def _run_cli(arguments, cwd, extra_env=None):
     return subprocess.run(
         [sys.executable, "-m", "repro", *arguments],
         cwd=cwd,
-        env=env,
+        env=_cli_env(extra_env),
         capture_output=True,
         text=True,
         timeout=600,
@@ -840,3 +887,50 @@ class TestCliFleetScan:
         assert "respawning" in survived.stderr
         assert "leases expired" in survived.stderr
         assert _core_lines(survived.stdout) == reference_scan
+
+
+class TestRoleLauncher:
+    def test_launched_standby_serves_every_cache_url(self, fleet_workdir):
+        """A standby started from the launcher's command carries every
+        cache URL of the scan, so a promoted standby still hands workers
+        the remote tier."""
+        from repro.cli import load_detector, load_layout_auto
+        from repro.fleet.launch import RoleLauncher, free_port, spawn
+
+        cache_urls = ["http://cache-0:8994", "http://cache-1:8994"]
+        launcher = RoleLauncher(
+            fleet_workdir / "model.npz",
+            fleet_workdir / "layout.gds",
+            cache_urls=cache_urls,
+        )
+        primary = FleetCoordinator(
+            load_detector(launcher.model), load_layout_auto(launcher.layout)
+        ).start()
+        port = free_port(set())
+        standby = spawn(
+            launcher.coordinator(port, standby_of=primary.url),
+            env=_cli_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        client = FleetClient(f"http://127.0.0.1:{port}", timeout=1.0)
+
+        def config():
+            try:
+                code, document = client.get_json("/fleet/v1/config")
+            except Exception:
+                return None
+            return document if code == 200 else None
+
+        try:
+            assert wait_until(lambda: config() is not None, timeout_s=60.0)
+            document = config()
+        finally:
+            standby.terminate()
+            try:
+                standby.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                standby.kill()
+            primary.stop()
+        assert document["role"] == "standby"
+        assert document["cache_urls"] == cache_urls

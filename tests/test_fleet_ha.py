@@ -138,10 +138,11 @@ class TestEpochFence:
             "POST", "/fleet/v1/push?shard=0&lease=1&epoch=0", b"junk", {}
         )
         assert status == 409 and payload["status"] == "stale_epoch"
-        assert coordinator.stale_epoch_fenced == 3
+        document = coordinator.status()
+        assert document["stale_epoch_fenced"] == 3
         # Nothing changed: the fence fires before any state mutation.
-        assert coordinator.pushes_accepted == 0
-        assert coordinator.leases_granted == 0
+        assert document["pushes_accepted"] == 0
+        assert document["leases_granted"] == 0
 
     def test_epochless_requests_pass(self, detached, small_benchmark):
         # Hand-rolled clients and pre-HA peers send no epoch; they are
@@ -231,7 +232,7 @@ class TestStandbyReplication:
                 )
                 assert code == 200 and answer["status"] == "ok"
             assert wait_until(
-                lambda: standby.mirrored == len(primary.shards),
+                lambda: standby._m_mirrored.count() == len(primary.shards),
                 timeout_s=30.0,
             )
             assert not standby.promoted.is_set()
@@ -317,7 +318,8 @@ class TestFailover:
                 thread.start()
             # Let real work land on the primary, then kill it mid-scan.
             assert wait_until(
-                lambda: primary.pushes_accepted >= 1, timeout_s=60.0
+                lambda: primary.status()["pushes_accepted"] >= 1,
+                timeout_s=60.0,
             )
             primary.stop()
             killed = time.monotonic()
@@ -334,7 +336,8 @@ class TestFailover:
             # Exactly-once: every shard came from the mirror or from a
             # post-promotion push, never both.
             assert (
-                standby.mirrored + standby.inner.pushes_accepted
+                standby._m_mirrored.count()
+                + standby.inner.status()["pushes_accepted"]
                 == len(standby.inner.shards)
             )
             assert_identical(
@@ -343,7 +346,7 @@ class TestFailover:
             # The workers finished on the new leader's epoch.
             for worker in workers:
                 assert worker.epoch == standby.inner.epoch
-            assert sum(worker.rehomes for worker in workers) >= 1
+            assert sum(worker._m_rehomes.count() for worker in workers) >= 1
         finally:
             for worker in workers:
                 worker.stop()
@@ -370,8 +373,8 @@ class TestWorkerChannel:
         self, detached, small_benchmark, monkeypatch
     ):
         # A worker whose coordinator vanishes mid-lease must surface the
-        # failed heartbeats (metric + counter) instead of swallowing
-        # them silently.
+        # failed heartbeats (in their metric) instead of swallowing them
+        # silently.
         import repro.fleet.worker as worker_module
 
         layout = small_benchmark.testing.layout
@@ -391,11 +394,10 @@ class TestWorkerChannel:
             status_server=False,
         )
         worker._work_lease(lease_doc, layer=1, ttl_s=0.3)
-        assert worker.heartbeat_failures >= 1
-        assert worker._m_heartbeat_failures.labels().value >= 1
+        assert worker._m_heartbeat_failures.count() >= 1
         # The push to the dead coordinator was dropped as stale, not
         # raised out of the lease loop.
-        assert worker.shards_stale == 1
+        assert worker._m_shards.count("stale") == 1
 
 
 # ----------------------------------------------------------------------
@@ -445,7 +447,7 @@ class TestInterleavingProperty:
                 status, payload, _ = push(shard_id, coordinator.epoch)
                 assert status == 200 and payload["status"] == "stale"
 
-        assert coordinator.pushes_accepted == len(shard_ids)
+        assert coordinator.status()["pushes_accepted"] == len(shard_ids)
         assert_identical(
             baseline, merged_signature(fitted, layout, coordinator)
         )

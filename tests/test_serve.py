@@ -47,6 +47,21 @@ class TestMetrics:
         assert 'repro_requests_total{endpoint="/v1/predict"} 2' in text
         assert 'repro_requests_total{endpoint="/healthz"} 1' in text
 
+    def test_count_sums_by_label_prefix_and_creates_no_child(self):
+        metrics = MetricsRegistry()
+        requests = metrics.counter(
+            "requests_total", "Requests.", labels=("endpoint", "status")
+        )
+        requests.labels("/v1/predict", "200").inc(2)
+        requests.labels("/v1/predict", "500").inc()
+        requests.labels("/healthz", "200").inc()
+        text = metrics.render()
+        assert requests.count() == 4
+        assert requests.count("/v1/predict") == 3
+        assert requests.count("/v1/predict", "500") == 1
+        assert requests.count("/v1/scan") == 0
+        assert metrics.render() == text
+
     def test_histogram_buckets_cumulative(self):
         metrics = MetricsRegistry()
         hist = metrics.histogram("latency_seconds", buckets=(0.01, 0.1, 1.0)).labels()
@@ -802,6 +817,16 @@ class TestCliServe:
 
 
 class TestServeService:
+    def test_service_keeps_the_registry_it_is_given(self):
+        # An empty registry is falsy (it has a length); it must still be
+        # the one the service serves from.
+        registry = ModelRegistry()
+        service = ServeService(registry=registry)
+        try:
+            assert service.registry is registry
+        finally:
+            service.close()
+
     def test_predict_clips_inprocess(self, model_file, trained, small_benchmark):
         service = ServeService(batching=BatchingConfig(max_delay_s=0.0))
         service.load_model(model_file)
